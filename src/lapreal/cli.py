@@ -55,9 +55,12 @@ def _fmt_list(values) -> str:
 
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        values = [float(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise UsageError(f"{flag} expects a comma-separated list of numbers, got {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{flag} expects finite numbers, got {text!r}")
+    return values
 
 
 def _order_from_edge_count(count: int) -> int:

@@ -257,8 +257,8 @@ def suspend_spectrum(spectrum, c: float) -> np.ndarray:
         raise ValueError("empty spectrum")
     if spec[0] > CLAMP_TOL:
         raise ValueError(f"smallest entry {spec[0]} is not a zero eigenvalue")
-    if c < 0:
-        raise ValueError(f"suspension weight must be nonnegative, got {c}")
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"suspension weight must be nonnegative and finite, got {c}")
     n = spec.size
     out = np.concatenate(([0.0], spec[1:] + c, [c * (n + 1)]))
     return np.sort(out)

@@ -66,6 +66,8 @@ def _validate_triple(values) -> tuple[float, float, float]:
     vals = tuple(float(v) for v in values)
     if len(vals) != 3:
         raise ValueError(f"expected a triple, got {len(vals)} entries")
+    if not (math.isfinite(vals[0]) and math.isfinite(vals[1]) and math.isfinite(vals[2])):
+        raise ValueError(f"non-finite target eigenvalue in {vals}")
     if any(v < 0 for v in vals):
         raise ValueError(f"negative target eigenvalue in {vals}")
     return vals

@@ -10,7 +10,6 @@ coordinate in black, the rest white.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,28 +52,12 @@ class RegionGrid:
         return self.bary * (self.normalization / self.resolution)
 
 
-def _max_workers() -> int:
-    # REGION_THREADS caps grid parallelism; evaluation is a single
-    # vectorized pass, which never exceeds any positive cap.
-    raw = os.environ.get("REGION_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"REGION_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"REGION_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
 def evaluate_grid(resolution: int, normalization: float = 1.0) -> RegionGrid:
     """Evaluate all five predicates on the barycentric lattice."""
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    if normalization <= 0:
-        raise ValueError(f"normalization must be positive, got {normalization}")
-    _max_workers()
+    if not (math.isfinite(normalization) and normalization > 0):
+        raise ValueError(f"normalization must be positive and finite, got {normalization}")
     rows = []
     for i in range(resolution + 1):
         j = np.arange(resolution - i + 1)
@@ -98,16 +81,30 @@ def evaluate_grid(resolution: int, normalization: float = 1.0) -> RegionGrid:
     return RegionGrid(resolution, normalization, bary, masks)
 
 
+# CSV bits of each packed mask code; the highest of its five bits is PANEL_ORDER[0]
+_BITS = [",".join(format(code, "05b")) for code in range(32)]
+
+
 def write_csv(grid: RegionGrid, path: str) -> None:
     """CSV with header x,y,z,star,cycle,path,kite,k4; booleans as 0/1."""
-    coords = grid.coords()
-    lines = ["x,y,z,star,cycle,path,kite,k4"]
-    for row, mask in zip(coords, grid.masks):
-        nums = ",".join(format(v, ".9g") for v in row)
-        bits = ",".join("1" if b else "0" for b in mask)
-        lines.append(f"{nums},{bits}")
+    res = grid.resolution
+    # every coordinate is bary * scale, exactly as coords() computes it,
+    # so each of the res + 1 distinct values is formatted once
+    values = (np.arange(res + 1) * (grid.normalization / res)).tolist()
+    labels = [format(v, ".9g") for v in values]
+    codes = np.packbits(grid.masks, axis=1)[:, 0] >> 3
+    chunk = res + 1  # rows formatted and written at a time
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x,y,z,star,cycle,path,kite,k4\n")
+        for start in range(0, grid.cell_count, chunk):
+            rows = grid.bary[start : start + chunk].tolist()
+            bits = codes[start : start + chunk].tolist()
+            fh.write(
+                "".join(
+                    f"{labels[i]},{labels[j]},{labels[k]},{_BITS[c]}\n"
+                    for (i, j, k), c in zip(rows, bits)
+                )
+            )
 
 
 def _cartesian(i: int, j: int, k: int, res: int) -> tuple[float, float]:
@@ -116,56 +113,53 @@ def _cartesian(i: int, j: int, k: int, res: int) -> tuple[float, float]:
     return (k - i) / res, SQRT3 * j / res
 
 
-def _runs(flags: np.ndarray):
-    """Maximal runs of consecutive True entries as (start, stop) inclusive."""
-    idx = np.flatnonzero(flags)
-    if idx.size == 0:
-        return
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    stops = np.concatenate((breaks, [idx.size - 1]))
-    for a, b in zip(starts, stops):
-        yield int(idx[a]), int(idx[b])
+def _row_runs(flags: np.ndarray) -> list[tuple[int, int, int]]:
+    """Maximal runs of True in each row of a 2-D array as (row, start, stop), stop inclusive."""
+    padded = np.zeros((flags.shape[0], flags.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = flags
+    steps = np.diff(padded, axis=1)
+    rows, starts = np.nonzero(steps == 1)
+    stops = np.nonzero(steps == -1)[1] - 1
+    return list(zip(rows.tolist(), starts.tolist(), stops.tolist()))
 
 
 def _panel_elements(grid: RegionGrid, column: np.ndarray) -> list[str]:
     res = grid.resolution
     cell = 1.0 / res
     half_h = SQRT3 / (2.0 * res)
-    lookup = {}
-    for (i, j, k), flag in zip(grid.bary, column):
-        lookup[(int(i), int(j))] = bool(flag)
+    # tri[i, j] is the flag of lattice point (i, j, res - i - j); unset entries stay False
+    tri = np.zeros((res + 1, res + 1), dtype=bool)
+    tri[grid.bary[:, 0], grid.bary[:, 1]] = column
     parts = []
     # gray interior: one rectangle per run of realizable points in a row
-    for j in range(res + 1):
-        flags = np.array([lookup[(i, j)] for i in range(res - j + 1)])
+    for j, a, b in _row_runs(tri.T):
         y = SQRT3 * j / res
-        for a, b in _runs(flags):
-            x_hi, _ = _cartesian(a, j, res - j - a, res)
-            x_lo, _ = _cartesian(b, j, res - j - b, res)
-            parts.append(
-                f'<rect x="{x_lo - cell:.6f}" y="{y - half_h:.6f}" '
-                f'width="{(x_hi - x_lo) + 2 * cell:.6f}" height="{2 * half_h:.6f}" '
-                f'fill="{GRAY}"/>'
-            )
+        x_hi, _ = _cartesian(a, j, res - j - a, res)
+        x_lo, _ = _cartesian(b, j, res - j - b, res)
+        parts.append(
+            f'<rect x="{x_lo - cell:.6f}" y="{y - half_h:.6f}" '
+            f'width="{(x_hi - x_lo) + 2 * cell:.6f}" height="{2 * half_h:.6f}" '
+            f'fill="{GRAY}"/>'
+        )
     # black overlay: realizable points with some zero coordinate
     width = 1.8 * cell
-    edges = [
-        [(i, 0) for i in range(res + 1)],  # bottom edge, y = 0
-        [(0, j) for j in range(res + 1)],  # left edge, x = 0
-        [(res - j, j) for j in range(res + 1)],  # right edge, z = 0
-    ]
-    for points in edges:
-        flags = np.array([lookup[(i, j)] for i, j in points])
-        for a, b in _runs(flags):
-            i0, j0 = points[a]
-            i1, j1 = points[b]
-            x0, y0 = _cartesian(i0, j0, res - i0 - j0, res)
-            x1, y1 = _cartesian(i1, j1, res - i1 - j1, res)
-            parts.append(
-                f'<line x1="{x0:.6f}" y1="{y0:.6f}" x2="{x1:.6f}" y2="{y1:.6f}" '
-                f'stroke="{BLACK}" stroke-width="{width:.6f}" stroke-linecap="round"/>'
-            )
+    idx = np.arange(res + 1)
+    # lattice point (i, j) at position t along each edge
+    edge_points = (
+        lambda t: (t, 0),  # bottom edge, y = 0
+        lambda t: (0, t),  # left edge, x = 0
+        lambda t: (res - t, t),  # right edge, z = 0
+    )
+    edge_flags = np.stack([tri[:, 0], tri[0, :], tri[res - idx, idx]])
+    for edge, a, b in _row_runs(edge_flags):
+        i0, j0 = edge_points[edge](a)
+        i1, j1 = edge_points[edge](b)
+        x0, y0 = _cartesian(i0, j0, res - i0 - j0, res)
+        x1, y1 = _cartesian(i1, j1, res - i1 - j1, res)
+        parts.append(
+            f'<line x1="{x0:.6f}" y1="{y0:.6f}" x2="{x1:.6f}" y2="{y1:.6f}" '
+            f'stroke="{BLACK}" stroke-width="{width:.6f}" stroke-linecap="round"/>'
+        )
     return parts
 
 

@@ -1,5 +1,7 @@
 """Command-line interface: records, exit codes, file emission."""
 
+import hashlib
+
 import pytest
 
 from lapreal.cli import main
@@ -92,6 +94,41 @@ class TestRegion:
         code, _, err = run(capsys, "region", "--resolution", "1")
         assert code == 2
 
+    def test_records_and_golden_bytes(self, capsys, tmp_path):
+        csv = tmp_path / "g.csv"
+        svg = tmp_path / "g.svg"
+        code, out, _ = run(
+            capsys,
+            "region", "--resolution", "12", "--out", str(csv), "--svg", str(svg),
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "resolution=12",
+            "normalization=1",
+            "cells=91",
+            f"csv={csv}",
+            f"svg={svg}",
+        ]
+        # sha256 of the files written at commit a8c3cda, before the emitters
+        # were vectorized
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+            "387bb055ddf67e6b1975339259fbf7bb8b0cc3b0a26cc5fac7a455492762c3e0"
+        )
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+            "af524260df792bf73dad28d37c1eadc0c46b91d531e04a67b00fce1aada4bacb"
+        )
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_normalization(self, capsys, tmp_path, bad):
+        csv = tmp_path / "g.csv"
+        code, _, err = run(
+            capsys,
+            "region", "--resolution", "4", "--normalization", bad, "--out", str(csv),
+        )
+        assert code == 2
+        assert "normalization" in err
+        assert not csv.exists()
+
 
 class TestFrac:
     def test_k4_exact(self, capsys):
@@ -127,3 +164,26 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestNonFiniteInput:
+    # each used to exit 0 with a NaN spectrum or a verdict, or end in a
+    # ZeroDivisionError traceback
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eigs", "--graph", "star", "--weights", "nan,1,1"),
+            ("eigs", "--graph", "kn", "--weights", "1,inf,1"),
+            ("check", "--graph", "star", "--triple", "nan,1,1"),
+            ("check", "--graph", "cycle", "--triple", "1,1,-inf"),
+            ("invert", "--graph", "kite", "--triple", "inf,1,1"),
+            ("invert", "--graph", "path", "--triple", "1,nan,1"),
+            ("suspend", "--spectrum", "0,nan", "--c", "1"),
+            ("suspend", "--spectrum", "0,2", "--c", "nan"),
+        ],
+    )
+    def test_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "finite" in err
+        assert out == ""

@@ -27,6 +27,14 @@ def roundtrip_residual(solution, target):
     return float(np.max(np.abs(spec - want)))
 
 
+@pytest.mark.parametrize("invert", [invert_star, invert_cycle, invert_path, invert_kite])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_target_rejected(invert, bad):
+    # invert_kite((inf, 1, 1)) used to end in a ZeroDivisionError
+    with pytest.raises(ValueError, match="non-finite"):
+        invert((bad, 1.0, 1.0))
+
+
 class TestInvertStar:
     def test_golden_boundary_triple(self):
         sol = invert_star((1.0, 1.0, 4.0))
@@ -148,6 +156,12 @@ class TestSuspendSpectrum:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
             suspend_spectrum([0.0, 2.0], -1.0)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_rejects_non_finite_weight(self, c):
+        # used to return a spectrum of NaN or inf entries
+        with pytest.raises(ValueError, match="finite"):
+            suspend_spectrum([0.0, 2.0], c)
 
 
 class TestInvertComplete:

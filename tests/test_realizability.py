@@ -50,6 +50,14 @@ class TestCheckStar:
             check_star((1.0, -1.0, 2.0))
 
 
+@pytest.mark.parametrize("check", ALL_CHECKS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_triple_rejected(check, bad):
+    # a NaN entry used to give a confident realizable=false
+    with pytest.raises(ValueError, match="non-finite"):
+        check((bad, 1.0, 1.0))
+
+
 class TestCheckCycle:
     def test_half_sum_boundary(self):
         assert check_cycle((4.0, 2.0, 2.0)).realizable

@@ -1,11 +1,46 @@
 """Barycentric region grids, CSV and SVG emitters."""
 
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from lapreal.region import PANEL_ORDER, evaluate_grid, render_region, write_csv, write_svg
+from lapreal.region import (
+    PANEL_ORDER,
+    _panel_elements,
+    _row_runs,
+    evaluate_grid,
+    render_region,
+    write_csv,
+    write_svg,
+)
+
+# sha256 of the files written at commit a8c3cda by the per-point loop
+# emitters; the vectorized emitters must write the same bytes
+GOLDEN = {
+    (2, 1.0): (
+        "8a9729ce020e742342f4e9f39789d9a5157ea34cdeb3a409d91f601f1924b90d",
+        "a10c5294f475af70df35ca1e0a91dedcc0fa8ab887ea48d94da6858a6a6346aa",
+    ),
+    (24, 1.0): (
+        "6bb3c9fae0910d5ee2bd99bc92898d10f1f68ed62b4dd734a7a22c7805cc3ab7",
+        "ba26c8937520d0d3d79a03829d460c4ce3bc7b912ad671305235eb162d231cc9",
+    ),
+    (60, 8.0): (
+        "cb68cde6a7a1247a7aa24c59e37c2f63c531d6943c59140f02a41253d8b7a7bb",
+        "4c16e3e9ec8c79a67e7caa343e41f65203877590e0b6a9ce75f215e151a267d0",
+    ),
+    (300, 1.0): (
+        "c3a39e029590a73a3827b2d1d20de1a0f647de887ed4957fee9fc7794aae897d",
+        "18458d8322e156e08cf996a0c0e029c620b8c27d449967703ff6823f7859f39f",
+    ),
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestEvaluateGrid:
@@ -50,15 +85,11 @@ class TestEvaluateGrid:
         with pytest.raises(ValueError):
             evaluate_grid(1)
 
-    def test_region_threads_env(self, monkeypatch):
-        monkeypatch.setenv("REGION_THREADS", "3")
-        evaluate_grid(4)
-        monkeypatch.setenv("REGION_THREADS", "zero")
-        with pytest.raises(ValueError):
-            evaluate_grid(4)
-        monkeypatch.setenv("REGION_THREADS", "0")
-        with pytest.raises(ValueError):
-            evaluate_grid(4)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_normalization(self, bad):
+        # NaN and inf used to pass and write nan/inf coordinates
+        with pytest.raises(ValueError, match="normalization"):
+            evaluate_grid(4, normalization=bad)
 
 
 class TestWriteCsv:
@@ -124,3 +155,60 @@ class TestRenderRegion:
     def test_grid_only(self):
         grid = render_region(5)
         assert grid.cell_count == 21
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("res,norm", sorted(GOLDEN))
+    def test_csv_and_svg_digests(self, tmp_path, res, norm):
+        grid = evaluate_grid(res, normalization=norm)
+        csv = tmp_path / "g.csv"
+        svg = tmp_path / "g.svg"
+        write_csv(grid, str(csv))
+        write_svg(grid, str(svg))
+        assert (sha256(csv), sha256(svg)) == GOLDEN[(res, norm)]
+
+
+def reference_runs(flags):
+    """Runs of True per row by a plain loop, as (row, start, stop) with stop inclusive."""
+    out = []
+    for row, values in enumerate(flags.tolist()):
+        start = None
+        for t, flag in enumerate(values + [False]):
+            if flag and start is None:
+                start = t
+            elif not flag and start is not None:
+                out.append((row, start, t - 1))
+                start = None
+    return out
+
+
+class TestRunDetection:
+    def test_matches_loop_on_random_rows(self):
+        rng = np.random.default_rng(5)
+        for shape in [(1, 1), (3, 1), (4, 9), (17, 40)]:
+            for p in (0.0, 0.3, 0.8, 1.0):
+                flags = rng.random(shape) < p
+                assert _row_runs(flags) == reference_runs(flags)
+
+    def test_all_false_column_draws_nothing(self):
+        grid = evaluate_grid(9)
+        parts = _panel_elements(grid, np.zeros(grid.cell_count, dtype=bool))
+        assert parts == []
+
+    def test_all_true_column(self):
+        res = 9
+        grid = evaluate_grid(res)
+        parts = _panel_elements(grid, grid.column("k4"))
+        assert sum(p.startswith("<rect") for p in parts) == res + 1
+        assert sum(p.startswith("<line") for p in parts) == 3
+
+    def test_two_runs_in_one_row(self):
+        res = 6
+        grid = evaluate_grid(res)
+        i, j = grid.bary[:, 0], grid.bary[:, 1]
+        # row j = 0 holds i = 0..6: runs at i in {0, 1} and i in {4, 5}
+        column = (j == 0) & np.isin(i, [0, 1, 4, 5])
+        rects = [p for p in _panel_elements(grid, column) if p.startswith("<rect")]
+        assert len(rects) == 2
+        half_h = math.sqrt(3.0) / (2.0 * res)
+        assert all(f'y="{-half_h:.6f}"' in r for r in rects)
