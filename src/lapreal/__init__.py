@@ -53,7 +53,6 @@ from .realizability import (
     check_kite,
     check_path,
     check_star,
-    normalize_target,
 )
 from .region import RegionGrid, evaluate_grid, render_region
 
@@ -89,7 +88,6 @@ __all__ = [
     "invert_star",
     "laplacian_cubic_roots",
     "negative_grid_search",
-    "normalize_target",
     "reduced_cubic",
     "render_region",
     "roundtrip_suite",

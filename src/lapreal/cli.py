@@ -13,27 +13,13 @@ import sys
 
 from . import forward_spectrum
 from .graphs import CYCLE4, KITE, PATH4, STAR, Topology, complete
-from .inverse import (
-    NotRealizable,
-    invert_complete,
-    invert_cycle,
-    invert_kite,
-    invert_path,
-    invert_star,
-    suspend_spectrum,
-)
+from .inverse import INVERTERS, NotRealizable, invert_complete, suspend_spectrum
 from .oracle import (
     GENERATOR_NAME,
     SamplerConfig,
     estimate_region_fraction,
 )
-from .realizability import (
-    check_complete,
-    check_cycle,
-    check_kite,
-    check_path,
-    check_star,
-)
+from .realizability import CHECKS, check_complete
 from .region import render_region
 
 GRAPH_NAMES = ("star", "cycle", "path", "kite", "k4", "kn")
@@ -91,24 +77,15 @@ def _cmd_eigs(args) -> int:
     return 0
 
 
-def _check_for(graph: str, triple):
-    if graph == "star":
-        return check_star(triple)
-    if graph == "cycle":
-        return check_cycle(triple)
-    if graph == "path":
-        return check_path(triple)
-    if graph == "kite":
-        return check_kite(triple)
-    if graph == "k4":
-        return check_complete(triple, 4)
-    return check_complete(triple, len(triple) + 1)
-
-
 def _cmd_check(args) -> int:
     triple = _parse_floats(args.triple, "--triple")
     try:
-        verdict = _check_for(args.graph, triple)
+        if args.graph in CHECKS:
+            verdict = CHECKS[args.graph](triple)
+        elif args.graph == "k4":
+            verdict = check_complete(triple, 4)
+        else:
+            verdict = check_complete(triple, len(triple) + 1)
     except ValueError as exc:
         raise UsageError(str(exc))
     print(f"graph={args.graph}")
@@ -120,15 +97,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_invert(args) -> int:
     triple = _parse_floats(args.triple, "--triple")
-    inverters = {
-        "star": invert_star,
-        "cycle": invert_cycle,
-        "path": invert_path,
-        "kite": invert_kite,
-    }
     try:
-        if args.graph in inverters:
-            solution = inverters[args.graph](triple)
+        if args.graph in INVERTERS:
+            solution = INVERTERS[args.graph](triple)
         elif args.graph == "k4":
             if len(triple) != 3:
                 raise ValueError(f"K4 expects 3 target eigenvalues, got {len(triple)}")

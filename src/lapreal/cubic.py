@@ -20,7 +20,6 @@ from .graphs import (
     PATH_KIND,
     STAR_KIND,
     Topology,
-    check_weights,
 )
 
 #: relative scale for the negative-discriminant rejection band
@@ -64,24 +63,44 @@ def _kite_coeffs(l1, l2, l3, l4):
     return p2, p1, p0
 
 
+def _path_coeffs(l1, l2, l3):
+    # path = cycle with the v4v1 edge deleted
+    return _cycle_coeffs(0.0, l1, l2, l3)
+
+
+#: coefficient formula of each four-vertex topology, for Python floats
+#: and numpy arrays alike
+COEFFS = {
+    STAR_KIND: _star_coeffs,
+    CYCLE_KIND: _cycle_coeffs,
+    PATH_KIND: _path_coeffs,
+    KITE_KIND: _kite_coeffs,
+}
+
+
 def reduced_cubic(topology: Topology, weights) -> CubicCoeffs:
-    """Cubic whose roots are the three nonzero-slot eigenvalues."""
-    w = check_weights(topology, weights)
-    if topology.kind == STAR_KIND:
-        coeffs = _star_coeffs(*w)
-    elif topology.kind == CYCLE_KIND:
-        coeffs = _cycle_coeffs(*w)
-    elif topology.kind == PATH_KIND:
-        # path = cycle with the v4v1 edge deleted
-        coeffs = _cycle_coeffs(0.0, *w)
-    elif topology.kind == KITE_KIND:
-        coeffs = _kite_coeffs(*w)
-    else:
+    """Cubic whose roots are the three nonzero-slot eigenvalues.
+
+    The weights are read as Python floats, so the coefficients are Python
+    floats too; count and sign are checked as ``graphs.check_weights`` does.
+    """
+    try:
+        w = tuple(map(float, weights))
+    except TypeError:
+        raise ValueError(f"expected a flat sequence of edge weights, got {weights!r}") from None
+    if len(w) != topology.edge_count:
+        raise ValueError(
+            f"{topology.kind} graph expects {topology.edge_count} weights, got {len(w)}"
+        )
+    if any(v < 0 for v in w):
+        raise ValueError(f"negative edge weight in {weights!r}")
+    coeffs = COEFFS.get(topology.kind)
+    if coeffs is None:
         raise ValueError(
             f"no closed-form cubic for {topology.kind}(order={topology.order}); "
             "use spectrum_numeric"
         )
-    return CubicCoeffs(*coeffs)
+    return CubicCoeffs(*coeffs(*w))
 
 
 def reduced_cubic_batch(topology: Topology, weight_rows: np.ndarray):
@@ -89,16 +108,9 @@ def reduced_cubic_batch(topology: Topology, weight_rows: np.ndarray):
     w = np.asarray(weight_rows, dtype=float)
     if w.ndim != 2 or w.shape[1] != topology.edge_count:
         raise ValueError(f"expected shape (batch, {topology.edge_count}), got {w.shape}")
-    cols = [w[:, k] for k in range(w.shape[1])]
-    if topology.kind == STAR_KIND:
-        return _star_coeffs(*cols)
-    if topology.kind == CYCLE_KIND:
-        return _cycle_coeffs(*cols)
-    if topology.kind == PATH_KIND:
-        return _cycle_coeffs(np.zeros(w.shape[0]), *cols)
-    if topology.kind == KITE_KIND:
-        return _kite_coeffs(*cols)
-    raise ValueError(f"no closed-form cubic for {topology.kind}")
+    if topology.kind not in COEFFS:
+        raise ValueError(f"no closed-form cubic for {topology.kind}")
+    return COEFFS[topology.kind](*(w[:, k] for k in range(w.shape[1])))
 
 
 def cubic_discriminant(p2: float, p1: float, p0: float) -> float:

@@ -16,11 +16,11 @@ import numpy as np
 
 from . import cubic
 from .cubic import (
+    COEFFS,
     CubicCoeffs,
     NoThreeRealRoots,
     cubic_real_roots,
     laplacian_cubic_roots,
-    reduced_cubic,
     solve_cubic_real,
 )
 from .graphs import CYCLE4, KITE, PATH4, STAR, Topology, build_laplacian, complete
@@ -30,6 +30,7 @@ from .realizability import (
     check_cycle,
     check_kite,
     check_path,
+    check_star,
     _validate_triple,
 )
 
@@ -83,18 +84,26 @@ def _quad_roots(sigma: float, prod: float) -> tuple[float, float]:
 
 
 def _closed_form_residual(topology: Topology, weights, target) -> float:
-    got = laplacian_cubic_roots(reduced_cubic(topology, weights))
-    want = sorted(target)
-    return max(abs(g - w) for g, w in zip(sorted(got), want))
+    # the weights come from _clamp_nonneg, so they are already nonnegative
+    # floats of the right count and need no second validation
+    g1, g2, g3 = sorted(laplacian_cubic_roots(CubicCoeffs(*COEFFS[topology.kind](*weights))))
+    w1, w2, w3 = sorted(target)
+    return max(abs(g1 - w1), abs(g2 - w2), abs(g3 - w3))
 
 
 def invert_star(target) -> InverseSolution:
     """Star weights are the roots of the length cubic
 
     L^3 - (1/2)(sum)L^2 + (1/3)(sum of pairs)L - (1/4)(product) = 0;
-    complex roots mean the target is not realizable.
+    complex roots mean the target is not realizable.  Targets the star
+    check rejects are refused first: the cubic's roundoff band does not
+    scale with the target, and near the star boundary or at sums away
+    from 1 it would accept them with large residuals.
     """
     x, y, z = _validate_triple(target)
+    verdict = check_star((x, y, z))
+    if not verdict.realizable:
+        raise NotRealizable(verdict.certificate)
     coeffs = CubicCoeffs(
         -0.5 * (x + y + z),
         (x * y + x * z + y * z) / 3.0,
@@ -289,6 +298,8 @@ def invert_complete(target) -> InverseSolution:
     vals = [float(v) for v in target]
     if not vals:
         raise ValueError("empty target")
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"non-finite target eigenvalue in {vals}")
     if any(v < 0 for v in vals):
         raise ValueError(f"negative target eigenvalue in {vals}")
     lams_desc = sorted(vals, reverse=True)

@@ -180,7 +180,8 @@ def _roundtrip_four_vertex(topology: Topology, cfg: SamplerConfig) -> RoundtripR
     for _ in range(500):
         x, y, z = sample_simplex(rng, block)
         keep = mask_fn(x, y, z)
-        triples.extend(zip(x[keep], y[keep], z[keep]))
+        # Python floats, so the scalar inverters make no numpy scalars
+        triples.extend(zip(x[keep].tolist(), y[keep].tolist(), z[keep].tolist()))
         if len(triples) >= cfg.samples:
             break
     triples = triples[: cfg.samples]

@@ -6,15 +6,18 @@ All criteria are homogeneous, so they are evaluated on the raw triple; a
 small boundary tolerance (scaled by the matching power of the sum) keeps
 forward-computed spectra that sit exactly on a region boundary inside.
 
-The ``*_mask`` functions are vectorized and shared by the scalar checks,
-the Monte Carlo oracle and the region renderer.
+The ``*_mask`` functions are written with operators only, so each
+formula serves Python floats and numpy arrays alike: the scalar checks
+call them on the validated floats and get a Python ``bool``, while the
+Monte Carlo oracle and the region renderer call them on arrays.  They
+assume finite input; the checks reject NaN and inf before calling them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,20 +41,8 @@ class Verdict:
     certificate: Optional[Certificate] = None
 
 
-class PathSymmetrics(NamedTuple):
-    """Symmetric combinations used by the path criterion."""
-
-    S: float  # x^2 + y^2 + z^2
-    P: float  # xy + xz + yz
-    U: float  # x^2(y+z) + y^2(x+z) + z^2(x+y)
-
-    @classmethod
-    def from_triple(cls, x, y, z) -> "PathSymmetrics":
-        s, p, u = _spu(x, y, z)
-        return cls(float(s), float(p), float(u))
-
-
 def _spu(x, y, z):
+    # x^2 + y^2 + z^2, xy + xz + yz and x^2(y+z) + y^2(x+z) + z^2(x+y)
     s = x * x + y * y + z * z
     p = x * y + x * z + y * z
     u = x * x * (y + z) + y * y * (x + z) + z * z * (x + y)
@@ -63,12 +54,13 @@ def _fmt(v: float) -> str:
 
 
 def _validate_triple(values) -> tuple[float, float, float]:
-    vals = tuple(float(v) for v in values)
+    vals = tuple(map(float, values))
     if len(vals) != 3:
         raise ValueError(f"expected a triple, got {len(vals)} entries")
-    if not (math.isfinite(vals[0]) and math.isfinite(vals[1]) and math.isfinite(vals[2])):
+    x, y, z = vals
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"non-finite target eigenvalue in {vals}")
-    if any(v < 0 for v in vals):
+    if x < 0 or y < 0 or z < 0:
         raise ValueError(f"negative target eigenvalue in {vals}")
     return vals
 
@@ -85,8 +77,8 @@ def star_mask(x, y, z, tol: float = BOUNDARY_TOL):
 def cycle_mask(x, y, z, tol: float = BOUNDARY_TOL):
     """Cycle criterion: some entry reaches half the sum."""
     total = x + y + z
-    biggest = np.maximum(np.maximum(x, y), z)
-    return biggest >= 0.5 * total - tol * total
+    half = 0.5 * total - tol * total
+    return (x >= half) | (y >= half) | (z >= half)
 
 
 def path_mask(x, y, z, tol: float = BOUNDARY_TOL):
@@ -103,9 +95,9 @@ def kite_mask(x, y, z, tol: float = BOUNDARY_TOL):
     total = x + y + z
     slack = tol * total
     return (
-        (SQRT3 * np.abs(x - y) >= x + y - slack)
-        | (SQRT3 * np.abs(x - z) >= x + z - slack)
-        | (SQRT3 * np.abs(y - z) >= y + z - slack)
+        (SQRT3 * abs(x - y) >= x + y - slack)
+        | (SQRT3 * abs(x - z) >= x + z - slack)
+        | (SQRT3 * abs(y - z) >= y + z - slack)
     )
 
 
@@ -125,7 +117,7 @@ MASKS = {
 
 def check_star(target) -> Verdict:
     x, y, z = _validate_triple(target)
-    if bool(star_mask(x, y, z)):
+    if star_mask(x, y, z):
         return Verdict(True)
     f1 = 6 * x * x - 2 * x * y - 2 * x * z + y * z
     f2 = 6 * y * y - 2 * x * y - 2 * y * z + x * z
@@ -143,7 +135,7 @@ def check_star(target) -> Verdict:
 
 def check_cycle(target) -> Verdict:
     x, y, z = _validate_triple(target)
-    if bool(cycle_mask(x, y, z)):
+    if cycle_mask(x, y, z):
         return Verdict(True)
     biggest = max(x, y, z)
     half = 0.5 * (x + y + z)
@@ -159,12 +151,12 @@ def check_cycle(target) -> Verdict:
 
 def check_path(target) -> Verdict:
     x, y, z = _validate_triple(target)
-    cycle_verdict = check_cycle(target)
+    cycle_verdict = check_cycle((x, y, z))
     if not cycle_verdict.realizable:
         return cycle_verdict
-    if bool(path_mask(x, y, z)):
+    if path_mask(x, y, z):
         return Verdict(True)
-    s, p, u = PathSymmetrics.from_triple(x, y, z)
+    s, p, u = _spu(x, y, z)
     lhs = 9 * (x**3 + y**3 + z**3) - 13 * u + 62 * x * y * z
     rhs = (3 * s - 2 * p) ** 2 * (9 * s - 14 * p)
     excess = lhs * lhs - rhs
@@ -180,7 +172,7 @@ def check_path(target) -> Verdict:
 
 def check_kite(target) -> Verdict:
     x, y, z = _validate_triple(target)
-    if bool(kite_mask(x, y, z)):
+    if kite_mask(x, y, z):
         return Verdict(True)
     lo, _, hi = sorted((x, y, z))
     gap = SQRT3 * (hi - lo) - (hi + lo)
@@ -214,24 +206,3 @@ CHECKS = {
     "kite": check_kite,
 }
 
-
-class NormalizedTarget(NamedTuple):
-    values: tuple[float, ...]
-    factor: float
-    zero_sum: bool
-
-
-def normalize_target(target, target_sum: float) -> NormalizedTarget:
-    """Scale ``target`` so its entries sum to ``target_sum``.
-
-    A zero-sum target is returned unchanged with factor 1 and the
-    ``zero_sum`` flag set.
-    """
-    if target_sum <= 0:
-        raise ValueError(f"target_sum must be positive, got {target_sum}")
-    vals = tuple(float(v) for v in target)
-    total = sum(vals)
-    if total == 0.0:
-        return NormalizedTarget(vals, 1.0, True)
-    factor = target_sum / total
-    return NormalizedTarget(tuple(v * factor for v in vals), factor, False)

@@ -67,6 +67,16 @@ class TestInvert:
         assert code == 1
         assert "realizable=false" in out
 
+    def test_star_cusp_not_realizable(self, capsys):
+        # used to print realizable=true with residual 0.00917 and exit 0,
+        # although check on the same triple says realizable=false
+        triple = "0.1666961228748206,0.6674384912086027,0.16586538591657674"
+        code, out, _ = run(capsys, "invert", "--graph", "star", "--triple", triple)
+        assert code == 1
+        assert "realizable=false" in out
+        _, checked, _ = run(capsys, "check", "--graph", "star", "--triple", triple)
+        assert checked.splitlines()[1:] == out.splitlines()[1:]
+
     def test_complete_any_tuple(self, capsys):
         code, out, _ = run(capsys, "invert", "--graph", "kn", "--triple", "5,4,3,2")
         assert code == 0

@@ -1,0 +1,124 @@
+"""The scalar check/invert path: golden outputs and Python-float results.
+
+A single ``check_*`` or ``invert_*`` call works on Python floats from
+input to result.  The golden digest pins its verdicts, certificates,
+weights and residuals bit for bit to those of the numpy-scalar path it
+replaced.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from lapreal.cubic import reduced_cubic
+from lapreal.graphs import CYCLE4, KITE, PATH4, STAR
+from lapreal.inverse import INVERTERS, NotRealizable
+from lapreal.realizability import CHECKS
+
+KINDS = ("star", "cycle", "path", "kite")
+
+#: star targets with |f1 f2 f3| / sum^6 below this are left out of the
+#: golden set, and star sums stay in [1, 10]: near the star boundary and
+#: at other sums the length cubic's discriminant band used to accept
+#: targets that the star check rejects, and the star inverse now defers
+#: to the star check there
+STAR_BAND = 1e-5
+
+GOLDEN_PER_TOPOLOGY = 600
+
+#: sha256 of repr(golden_records()) written at commit 6086437
+GOLDEN_DIGEST = "f23b0a97f06b4e1568f25f58512b93906eb445b265e7170b82289d620024ee6f"
+
+FIXED_TARGETS = (
+    (0.0, 0.0, 0.0),
+    (5.0, 0.0, 0.0),
+    (3.0, 0.0, 3.0),
+    (1.0, 1.0, 4.0),
+    (4.0, 2.0, 2.0),
+    (4.0, 3.0, 1.0),
+    (5.0, 2.0, 1.0),
+    (2.0 + math.sqrt(2.0), 2.0, 2.0 - math.sqrt(2.0)),
+    (1.0, 1.0, 1.0),
+)
+
+
+def star_product(x, y, z):
+    f1 = 6 * x * x - 2 * x * y - 2 * x * z + y * z
+    f2 = 6 * y * y - 2 * x * y - 2 * y * z + x * z
+    f3 = 6 * z * z - 2 * x * z - 2 * y * z + x * y
+    return f1 * f2 * f3
+
+
+def golden_targets(kind):
+    """Seeded simplex triples rescaled over six decades (one for star), plus fixed cases."""
+    rng = np.random.default_rng([2024, KINDS.index(kind)])
+    u = np.sort(rng.random((GOLDEN_PER_TOPOLOGY, 2)), axis=1)
+    decades = (0.0, 1.0) if kind == "star" else (-3.0, 3.0)
+    scale = 10.0 ** rng.uniform(*decades, GOLDEN_PER_TOPOLOGY)
+    rows = np.stack([u[:, 0], u[:, 1] - u[:, 0], 1.0 - u[:, 1]], axis=1) * scale[:, None]
+    targets = [tuple(r) for r in rows.tolist()] + list(FIXED_TARGETS)
+    if kind == "star":
+        targets = [t for t in targets if not abs(star_product(*t)) < STAR_BAND * sum(t) ** 6]
+    return targets
+
+
+def golden_record(kind, target):
+    verdict = CHECKS[kind](target)
+    cert = verdict.certificate
+    record = [kind, [float(v).hex() for v in target], verdict.realizable]
+    if cert is not None:
+        record += [cert.name, float(cert.value).hex(), cert.detail]
+    try:
+        sol = INVERTERS[kind](target)
+    except NotRealizable:
+        record.append(None)
+    else:
+        record.append([float(w).hex() for w in sol.weights] + [float(sol.residual).hex()])
+    return record
+
+
+def golden_records():
+    return [golden_record(kind, t) for kind in KINDS for t in golden_targets(kind)]
+
+
+def test_golden_digest():
+    digest = hashlib.sha256(repr(golden_records()).encode()).hexdigest()
+    assert digest == GOLDEN_DIGEST
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_check_verdict_is_bool(kind):
+    for target in ((1.0, 1.0, 4.0), (1.0, 1.0, 1.0), (4.0, 2.0, 2.0), np.array([3.0, 0.5, 0.25])):
+        assert type(CHECKS[kind](target).realizable) is bool
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_invert_residual_is_float(kind):
+    targets = [t for t in golden_targets(kind)[:40] if CHECKS[kind](t).realizable]
+    assert targets
+    for target in targets + [np.asarray(targets[0])]:
+        sol = INVERTERS[kind](target)
+        assert type(sol.residual) is float
+        assert all(type(w) is float for w in sol.weights)
+
+
+@pytest.mark.parametrize(
+    "topology, weights",
+    [(STAR, (1.0, 2.0, 3.0)), (CYCLE4, [1.0, 2.0, 3.0, 4.0]), (PATH4, np.array([0.5, 1.5, 2.5])),
+     (KITE, np.array([1.0, 0.0, 2.0, 3.0]))],
+)
+def test_reduced_cubic_gives_python_floats(topology, weights):
+    c = reduced_cubic(topology, weights)
+    assert (type(c.p2), type(c.p1), type(c.p0)) == (float, float, float)
+
+
+@pytest.mark.parametrize("wrap", [tuple, list, np.array])
+def test_reduced_cubic_rejects_bad_weights(wrap):
+    with pytest.raises(ValueError, match="expects 3 weights"):
+        reduced_cubic(STAR, wrap([1.0, 2.0]))
+    with pytest.raises(ValueError, match="expects 4 weights"):
+        reduced_cubic(CYCLE4, wrap([1.0, 2.0, 3.0, 4.0, 5.0]))
+    with pytest.raises(ValueError, match="negative"):
+        reduced_cubic(PATH4, wrap([1.0, -2.0, 3.0]))

@@ -17,6 +17,7 @@ from lapreal.inverse import (
     suspend_spectrum,
 )
 from lapreal.jacobi import spectrum_numeric
+from lapreal.realizability import check_star
 
 SQRT2 = math.sqrt(2.0)
 
@@ -57,6 +58,57 @@ class TestInvertStar:
             sol = invert_star(target)
             assert min(sol.weights) >= 0.0
             assert roundtrip_residual(sol, target) <= 1e-8
+
+
+#: star targets near the cusp (1/6, 1/6, 2/3) that the star check rejects
+#: and that invert_star used to realize with residuals near 1e-2
+STAR_CUSP = (
+    (0.1666961228748206, 0.6674384912086027, 0.16586538591657674),
+    (0.6665767737105264, 0.1654722754676594, 0.16795095082181422),
+    (0.6660769155059063, 0.16406022903301953, 0.16986285546107416),
+    (0.17262117898674245, 0.6683029172709266, 0.15907590374233094),
+)
+
+
+def star_band_sample(draws, seed, band=1e-5):
+    """Simplex triples with |f1 f2 f3| < band, about the star boundary."""
+    rng = np.random.default_rng(seed)
+    u = np.sort(rng.random((draws, 2)), axis=1)
+    x, y, z = u[:, 0], u[:, 1] - u[:, 0], 1.0 - u[:, 1]
+    f1 = 6 * x * x - 2 * x * y - 2 * x * z + y * z
+    f2 = 6 * y * y - 2 * x * y - 2 * y * z + x * z
+    f3 = 6 * z * z - 2 * x * z - 2 * y * z + x * y
+    keep = np.abs(f1 * f2 * f3) < band
+    return list(zip(x[keep].tolist(), y[keep].tolist(), z[keep].tolist()))
+
+
+class TestStarCheckGate:
+    @pytest.mark.parametrize("target", STAR_CUSP)
+    def test_cusp_targets_rejected(self, target):
+        with pytest.raises(NotRealizable) as exc:
+            invert_star(target)
+        assert exc.value.certificate.name == "star-discriminant-product"
+        assert exc.value.certificate == check_star(target).certificate
+
+    @pytest.mark.parametrize("target", [(0.01, 0.01, 0.01), (1e4, 2e4, 3e4), (3e3, 1e3, 2e3)])
+    def test_rejected_away_from_unit_sum(self, target):
+        # the length cubic's discriminant band is absolute below sum 1 and
+        # grows as sum^9 above it, so these used to come back as weights
+        # with residuals of 0.01, 1e4 and 1e3
+        assert not check_star(target).realizable
+        with pytest.raises(NotRealizable):
+            invert_star(target)
+
+    def test_check_and_invert_agree_in_band(self):
+        sample = star_band_sample(200_000, seed=3)
+        assert len(sample) > 500
+        for target in sample:
+            try:
+                invert_star(target)
+                inverted = True
+            except NotRealizable:
+                inverted = False
+            assert inverted == check_star(target).realizable, target
 
 
 class TestInvertCycle:
@@ -183,6 +235,12 @@ class TestInvertComplete:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             invert_complete((1.0, -1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN used to fail deep inside with "matrix is not symmetric"
+        with pytest.raises(ValueError, match="non-finite"):
+            invert_complete((bad, 1.0, 1.0))
 
     def test_larger_orders(self):
         rng = np.random.default_rng(29)

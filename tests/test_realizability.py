@@ -9,14 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapreal.realizability import (
-    PathSymmetrics,
     check_complete,
     check_cycle,
     check_kite,
     check_path,
     check_star,
     kite_mask,
-    normalize_target,
 )
 
 ALL_CHECKS = [check_star, check_cycle, check_path, check_kite]
@@ -159,37 +157,3 @@ class TestInvariance:
             if check_star(triple).realizable:
                 assert check_kite(triple).realizable
 
-
-class TestPathSymmetrics:
-    def test_known_values(self):
-        s = PathSymmetrics.from_triple(1.0, 2.0, 3.0)
-        assert s.S == 14.0
-        assert s.P == 11.0
-        # 1*(2+3) + 4*(1+3) + 9*(1+2) = 5 + 16 + 27
-        assert s.U == 48.0
-
-    @given(nonneg, nonneg, nonneg)
-    @settings(max_examples=200, deadline=None)
-    def test_inequalities(self, x, y, z):
-        s = PathSymmetrics.from_triple(x, y, z)
-        assert s.S >= s.P - 1e-9 * max(1.0, s.S)
-        assert 3.0 * s.S - 2.0 * s.P >= -1e-9 * max(1.0, s.S)
-
-
-class TestNormalizeTarget:
-    def test_scaling(self):
-        out = normalize_target((1.0, 1.0, 2.0), 8.0)
-        assert out.values == (2.0, 2.0, 4.0)
-        assert out.factor == 2.0
-        assert not out.zero_sum
-
-    def test_zero_sum_flag(self):
-        out = normalize_target((0.0, 0.0, 0.0), 8.0)
-        assert out.values == (0.0, 0.0, 0.0)
-        assert out.factor == 1.0
-        assert out.zero_sum
-
-    def test_identity(self):
-        out = normalize_target((4.0, 2.0, 2.0), 8.0)
-        assert out.values == (4.0, 2.0, 2.0)
-        assert out.factor == 1.0
