@@ -2,7 +2,7 @@
 
 Every supported topology carries a fixed edge ordering, and its spectrum
 can be computed two independent ways: the closed-form cubic for the
-three nonzero slots, and the cyclic Jacobi eigensolver applied to the
+three nonzero slots, and the round-robin Jacobi eigensolver applied to the
 built matrix.  This script builds a few graphs, compares the routes and
 demonstrates the scaling law.
 

@@ -37,7 +37,7 @@ from .inverse import (
     invert_star,
     suspend_spectrum,
 )
-from .jacobi import spectrum_numeric
+from .jacobi import OFFDIAG_TOL, spectrum_numeric
 from .oracle import (
     FractionEstimate,
     SamplerConfig,
@@ -107,6 +107,6 @@ def forward_spectrum(topology: Topology, weights) -> np.ndarray:
     """
     if topology.kind == "complete":
         spec = spectrum_numeric(build_laplacian(topology, weights))
-        return np.where((spec < 0.0) & (spec > -1e-9), 0.0, spec)
+        return np.where(np.abs(spec) <= OFFDIAG_TOL * np.abs(spec).max(), 0.0, spec)
     roots = laplacian_cubic_roots(reduced_cubic(topology, weights))
     return np.sort(np.concatenate(([0.0], roots)))

@@ -8,6 +8,7 @@ target is not realizable, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -172,7 +173,9 @@ def _cmd_suspend(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="lapreal",
         description="Spectra and realizability of weighted graph Laplacians",

@@ -37,6 +37,9 @@ from .realizability import (
 #: clamp band for roundoff-negative weights and quadratic discriminants
 CLAMP_TOL = 1e-9
 
+#: largest accepted ``invert_complete`` residual, relative to max(1, sum of the target)
+RESIDUAL_TOL = 1e-8
+
 
 class NotRealizable(Exception):
     """The target spectrum is outside the topology's realizable region."""
@@ -310,4 +313,6 @@ def invert_complete(target) -> InverseSolution:
     spec = spectrum_numeric(build_laplacian(topo, weights))
     want = np.sort(np.concatenate(([0.0], vals)))
     residual = float(np.max(np.abs(spec - want)))
+    if residual > RESIDUAL_TOL * max(1.0, sum(vals)):
+        raise InternalInfeasible(f"residual {residual} above tolerance for K{n1}")
     return InverseSolution(topo, weights, residual)

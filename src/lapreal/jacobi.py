@@ -1,8 +1,10 @@
-"""Cyclic Jacobi eigensolver for dense symmetric matrices.
+"""Round-robin (Brent-Luk) Jacobi eigensolver for dense symmetric matrices.
 
-Independent of the closed-form cubic route; the two are cross-checked
-against each other in the test suite.  The batch variant applies the
-same rotation schedule to a stack of equal-order matrices at once.
+Independent of the closed-form cubic route; the two are cross-checked in
+the test suite.  A stack is held as one ``(n, n, batch)`` array, so each entry
+is a contiguous batch vector, and each sweep is n - 1 steps (n for odd n) of
+n/2 disjoint rotations.  The convergence scale is the Frobenius norm of each
+matrix over its largest entry, times that entry, so it cannot overflow.
 """
 
 from __future__ import annotations
@@ -19,55 +21,58 @@ class JacobiNonConvergence(RuntimeError):
     """The sweep limit was hit before the off-diagonal mass vanished."""
 
 
-def _rotate_pair(a: np.ndarray, p: int, q: int) -> None:
-    """One two-sided Jacobi rotation zeroing entry (p, q) of every matrix."""
-    apq = a[:, p, q]
-    nonzero = apq != 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        theta = (a[:, q, q] - a[:, p, p]) / (2.0 * apq)
-        sgn = np.where(theta >= 0.0, 1.0, -1.0)
-        t = sgn / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-    t = np.where(nonzero, t, 0.0)
-    t = np.where(np.isfinite(t), t, 0.0)
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    s = t * c
-    cc = c[:, None]
-    ss = s[:, None]
-    row_p = a[:, p, :].copy()
-    row_q = a[:, q, :].copy()
-    a[:, p, :] = cc * row_p - ss * row_q
-    a[:, q, :] = ss * row_p + cc * row_q
-    col_p = a[:, :, p].copy()
-    col_q = a[:, :, q].copy()
-    a[:, :, p] = cc * col_p - ss * col_q
-    a[:, :, q] = ss * col_p + cc * col_q
-    # the rotation annihilates (p, q) analytically; remove the roundoff residue
-    a[:, p, q] = np.where(nonzero, 0.0, a[:, p, q])
-    a[:, q, p] = a[:, p, q]
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One sweep: steps ``(p, q, perm)`` of disjoint pairs p < q, ``perm`` swapping each."""
+    m = n + n % 2  # for odd n, a dummy index n pads the ring and its pair is dropped
+    ring = np.arange(m)
+    steps = []
+    for _ in range(m - 1):
+        p, q = np.sort([ring[: m // 2], ring[::-1][: m // 2]], axis=0)
+        p, q = p[q < n], q[q < n]
+        perm = np.arange(n)
+        perm[p], perm[q] = q, p
+        steps.append((p, q, perm))
+        ring[1:] = np.roll(ring[1:], 1)
+    return steps
 
 
 def jacobi_spectra(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
     """Eigenvalues of a (batch, n, n) stack of symmetric matrices, ascending."""
-    a = np.array(mats, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"expected (batch, n, n) stack, got shape {a.shape}")
-    n = a.shape[1]
-    norms = np.linalg.norm(a, axis=(1, 2))
+    b = np.asarray(mats, dtype=float)
+    if b.ndim != 3 or b.shape[1] != b.shape[2]:
+        raise ValueError(f"expected (batch, n, n) stack, got shape {b.shape}")
+    batch, n = b.shape[:2]
+    b = b.transpose(1, 2, 0).copy()
+    big = np.abs(b).max(axis=(0, 1), initial=0.0)
+    norms = big * np.linalg.norm(b / np.where(big > 0.0, big, 1.0), axis=(0, 1))
     off_mask = ~np.eye(n, dtype=bool)
-    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    steps = _round_robin(n)
     for _ in range(max_sweeps):
-        off = np.abs(a[:, off_mask]).max(axis=1) if n > 1 else np.zeros(a.shape[0])
+        off = np.abs(b[off_mask]).max(axis=0, initial=0.0)
         if not np.any(off > OFFDIAG_TOL * norms):
-            diag = a[:, np.arange(n), np.arange(n)].copy()
-            diag.sort(axis=1)
-            return diag
-        for p, q in pairs:
-            _rotate_pair(a, p, q)
+            return np.sort(b.diagonal(), axis=1)
+        for p, q, perm in steps:
+            # angles from the entries before the step: disjoint rotations commute
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                theta = (b[q, q] - b[p, p]) / (2.0 * b[p, q])
+                t = np.copysign(1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0)), theta)
+            t[np.isnan(t)] = 0.0
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            cv, sv = np.ones((n, batch)), np.zeros((n, batch))
+            cv[p] = cv[q] = c
+            sv[p], sv[q] = -t * c, t * c
+            # rows, then columns: p becomes c p - s q and q becomes s p + c q
+            for side in (b, b.transpose(1, 0, 2)):
+                turned = side[perm]
+                turned *= sv[:, None]
+                side *= cv[:, None]
+                side += turned
+            b[p, q] = b[q, p] = 0.0
     raise JacobiNonConvergence(f"no convergence after {max_sweeps} sweeps")
 
 
 def spectrum_numeric(mat: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
-    """Full sorted spectrum of one symmetric matrix via cyclic Jacobi."""
+    """Full sorted spectrum of one symmetric matrix via round-robin Jacobi."""
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from lapreal.cli import main
+from lapreal.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -40,6 +40,21 @@ class TestEigs:
         code, _, err = run(capsys, "eigs", "--graph", "star", "--weights", "1,x,1")
         assert code == 2
         assert "usage" in err
+
+    @pytest.mark.parametrize("scale", ["e-160", "", "e160"])
+    def test_k4_zero_eigenvalue_at_any_scale(self, capsys, scale):
+        weights = ",".join(f"{k}{scale}" for k in range(1, 7))
+        code, out, _ = run(capsys, "eigs", "--graph", "k4", "--weights", weights)
+        assert code == 0
+        assert "spectrum=[0," in out
+
+    def test_k4_spectrum_at_1e160(self, capsys):
+        # used to print the vertex degrees [6e+160,1e+161,1.2e+161,1.4e+161]
+        code, out, _ = run(
+            capsys, "eigs", "--graph", "k4", "--weights", "1e160,2e160,3e160,4e160,5e160,6e160"
+        )
+        assert code == 0
+        assert "spectrum=[0,7.69461815e+160,1.48763738e+161,1.94290081e+161]" in out
 
 
 class TestCheck:
@@ -81,6 +96,14 @@ class TestInvert:
         code, out, _ = run(capsys, "invert", "--graph", "kn", "--triple", "5,4,3,2")
         assert code == 0
         assert "realizable=true" in out
+
+    def test_complete_at_1e160(self, capsys):
+        # used to print realizable=true with residual=2.33333333e+160
+        code, out, _ = run(capsys, "invert", "--graph", "kn", "--triple", "6e160,3e160,2e160")
+        assert code == 0
+        assert "realizable=true" in out
+        residual = float(out.split("residual=")[1])
+        assert residual <= 1e-8 * 11e160
 
     def test_negative_triple_is_usage_error(self, capsys):
         code, _, err = run(capsys, "invert", "--graph", "star", "--triple", "1,-1,1")
@@ -174,6 +197,36 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    ARGVS = [
+        ("eigs", "--graph", "kn", "--weights", "1,2,3,4,5,6"),
+        ("invert", "--graph", "kite", "--triple", "4,3,1"),
+        ("eigs", "--graph", "star", "--weights", "1,1"),
+        ("check", "--graph", "cycle", "--triple", "3,3,2"),
+        ("invert", "--graph", "k4", "--triple", "1,2"),
+        ("suspend", "--spectrum", "0,2", "--c", "1"),
+    ]
+
+    def test_repeated_calls_match_fresh_parsers(self, capsys):
+        fresh = []
+        for argv in self.ARGVS:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 2, 0]
+        for _ in range(2):
+            assert [run(capsys, *argv) for argv in self.ARGVS] == fresh
+
+    def test_argparse_error_between_good_calls(self, capsys):
+        good = ("invert", "--graph", "cycle", "--triple", "2,1,1")
+        first = run(capsys, *good)
+        with pytest.raises(SystemExit) as exc:
+            main(["eigs", "--graph", "nope", "--weights", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *good) == first
+        assert build_parser() is build_parser()
 
 
 class TestNonFiniteInput:

@@ -7,7 +7,9 @@ import pytest
 
 from lapreal import forward_spectrum
 from lapreal.graphs import CYCLE4, KITE, PATH4, STAR, build_laplacian, complete
+from lapreal import inverse
 from lapreal.inverse import (
+    InternalInfeasible,
     NotRealizable,
     invert_complete,
     invert_cycle,
@@ -241,6 +243,18 @@ class TestInvertComplete:
         # NaN used to fail deep inside with "matrix is not symmetric"
         with pytest.raises(ValueError, match="non-finite"):
             invert_complete((bad, 1.0, 1.0))
+
+    def test_scale_1e160(self):
+        # the Jacobi convergence scale overflowed and the residual was 2.3e160
+        target = (6e160, 3e160, 2e160)
+        sol = invert_complete(target)
+        assert sol.residual <= 1e-8 * sum(target)
+
+    def test_residual_above_tolerance_raises(self, monkeypatch):
+        # a spectrum that misses the target must not come back as realizable
+        monkeypatch.setattr(inverse, "spectrum_numeric", lambda m: np.sort(np.diag(m)))
+        with pytest.raises(InternalInfeasible, match="residual"):
+            invert_complete((6.0, 3.0, 2.0))
 
     def test_larger_orders(self):
         rng = np.random.default_rng(29)

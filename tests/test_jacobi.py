@@ -1,10 +1,46 @@
-"""Cyclic Jacobi eigensolver."""
+"""Round-robin Jacobi eigensolver."""
+
+import itertools
 
 import numpy as np
 import pytest
 
+from lapreal import forward_spectrum
 from lapreal.graphs import CYCLE4, STAR, build_laplacian, build_laplacians, complete
-from lapreal.jacobi import jacobi_spectra, spectrum_numeric
+from lapreal.jacobi import (
+    JacobiNonConvergence,
+    _round_robin,
+    jacobi_spectra,
+    spectrum_numeric,
+)
+
+
+def relative_error(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), np.finfo(float).tiny)
+
+
+def symmetric_stack(rng, batch, n):
+    a = rng.standard_normal((batch, n, n))
+    return a + a.transpose(0, 2, 1)
+
+
+class TestRoundRobin:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_pair_once_per_sweep(self, n):
+        steps = _round_robin(n)
+        # n - 1 steps of n/2 pairs, or n steps of (n - 1)/2 pairs for odd n
+        assert len(steps) == n - 1 + n % 2
+        seen = []
+        for p, q, perm in steps:
+            assert p.size == n // 2
+            touched = np.concatenate((p, q))
+            assert len(set(touched.tolist())) == touched.size  # disjoint within a step
+            assert np.all(p < q)
+            want = np.arange(n)
+            want[p], want[q] = q, p
+            np.testing.assert_array_equal(perm, want)
+            seen += list(zip(p.tolist(), q.tolist()))
+        assert sorted(seen) == list(itertools.combinations(range(n), 2))
 
 
 class TestSpectrumNumeric:
@@ -61,3 +97,60 @@ class TestJacobiSpectra:
         spectra = jacobi_spectra(mats)
         assert np.abs(spectra[:, 0]).max() < 1e-9
         assert spectra.min() > -1e-9
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_batch_matches_eigvalsh(self, n):
+        rng = np.random.default_rng(43 + n)
+        mats = symmetric_stack(rng, 50, n)
+        np.testing.assert_allclose(
+            jacobi_spectra(mats), np.linalg.eigvalsh(mats), rtol=0.0, atol=1e-9
+        )
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_zeroed_weights_repeated_zero_eigenvalues(self, n):
+        # dropping edges splits K_n into components, one zero eigenvalue each
+        topo = complete(n)
+        rng = np.random.default_rng(47 + n)
+        weights = rng.uniform(0.0, 4.0, (40, topo.edge_count))
+        weights[rng.uniform(size=weights.shape) < 0.6] = 0.0
+        mats = build_laplacians(topo, weights)
+        np.testing.assert_allclose(
+            jacobi_spectra(mats), np.linalg.eigvalsh(mats), rtol=0.0, atol=1e-9
+        )
+
+    def test_diagonal_input_bit_for_bit(self):
+        rng = np.random.default_rng(53)
+        diag = rng.standard_normal((20, 5)) * 10.0 ** rng.integers(-100, 100, (20, 5))
+        mats = np.zeros((20, 5, 5))
+        mats[:, np.arange(5), np.arange(5)] = diag
+        np.testing.assert_array_equal(jacobi_spectra(mats), np.sort(diag, axis=1))
+
+    def test_sweep_limit_raises(self):
+        mats = symmetric_stack(np.random.default_rng(59), 1, 6)
+        with pytest.raises(JacobiNonConvergence):
+            jacobi_spectra(mats, max_sweeps=1)
+
+    @pytest.mark.parametrize("exponent", range(-150, 151, 25))
+    def test_scale_sweep(self, exponent):
+        mats = symmetric_stack(np.random.default_rng(61), 20, 5) * 10.0**exponent
+        got = jacobi_spectra(mats)
+        want = np.linalg.eigvalsh(mats)
+        for k in range(mats.shape[0]):
+            assert relative_error(got[k], want[k]) <= 1e-12
+
+    def test_k4_laplacian_at_1e160(self):
+        # the Frobenius norm overflowed to inf above ~1.3e154, so the
+        # unrotated diagonal (the vertex degrees) came back as the spectrum
+        lap = build_laplacian(complete(4), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) * 1e160
+        assert relative_error(spectrum_numeric(lap), np.linalg.eigvalsh(lap)) <= 1e-12
+
+
+class TestCompleteZeroEigenvalue:
+    def test_seeded_set_prints_exact_zero(self):
+        # roundoff such as 5.8e-16 used to stand in for the zero eigenvalue
+        rng = np.random.default_rng(3)
+        for n in range(2, 10):
+            topo = complete(n)
+            for _ in range(200):
+                spec = forward_spectrum(topo, rng.uniform(0.0, 4.0, topo.edge_count))
+                assert spec[0] == 0.0
