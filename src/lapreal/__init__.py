@@ -7,11 +7,14 @@ four-vertex topologies (star, cycle, path, kite, K4) and complete graphs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .cubic import (
     CubicCoeffs,
     NoThreeRealRoots,
+    _float_weights,
     laplacian_cubic_roots,
     reduced_cubic,
     solve_cubic_real,
@@ -103,10 +106,20 @@ def forward_spectrum(topology: Topology, weights) -> np.ndarray:
     """Full sorted Laplacian spectrum of a weighted topology.
 
     Four-vertex graphs go through the closed-form cubic; complete graphs
-    use the Jacobi eigensolver.
+    use the Jacobi eigensolver.  When the largest weight is outside
+    [2**-60, 2**60], where the cubic's coefficients would overflow or
+    underflow, the weights are scaled into [0.5, 1) by an exact power of
+    two and the roots scaled back.
     """
     if topology.kind == "complete":
         spec = spectrum_numeric(build_laplacian(topology, weights))
         return np.where(np.abs(spec) <= OFFDIAG_TOL * np.abs(spec).max(), 0.0, spec)
-    roots = laplacian_cubic_roots(reduced_cubic(topology, weights))
+    w = _float_weights(topology, weights)
+    big = max(w)
+    e = 0 if 2.0**-60 <= big <= 2.0**60 else math.frexp(big)[1]
+    roots = laplacian_cubic_roots(reduced_cubic(topology, [math.ldexp(v, -e) for v in w]))
+    try:
+        roots = [math.ldexp(r, e) for r in roots]
+    except OverflowError:
+        raise ValueError(f"spectrum of {topology.kind} weights {w} overflows the float range") from None
     return np.sort(np.concatenate(([0.0], roots)))

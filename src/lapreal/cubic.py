@@ -5,6 +5,12 @@ the forced zero eigenvalue, form the Laplacian spectrum.  The
 coefficients are taken from the symmetric-function systems of the
 characteristic polynomials, not from det(lambda*I - L), so that the
 iterative eigensolver remains an independent cross-check.
+
+One scalar kernel, ``_roots``, finds the roots on Python floats; its two
+wrappers ``solve_cubic_real`` (three roots) and ``laplacian_cubic_roots``
+(three roots, near-zero roundoff clamped), and ``cubic_real_roots`` (one or
+three roots as found), only unpack their arguments.  The batch solver does
+the same work on numpy arrays.
 """
 
 from __future__ import annotations
@@ -78,12 +84,8 @@ COEFFS = {
 }
 
 
-def reduced_cubic(topology: Topology, weights) -> CubicCoeffs:
-    """Cubic whose roots are the three nonzero-slot eigenvalues.
-
-    The weights are read as Python floats, so the coefficients are Python
-    floats too; count and sign are checked as ``graphs.check_weights`` does.
-    """
+def _float_weights(topology: Topology, weights) -> tuple[float, ...]:
+    """The weights as Python floats, checked as ``graphs.check_weights`` does."""
     try:
         w = tuple(map(float, weights))
     except TypeError:
@@ -92,8 +94,22 @@ def reduced_cubic(topology: Topology, weights) -> CubicCoeffs:
         raise ValueError(
             f"{topology.kind} graph expects {topology.edge_count} weights, got {len(w)}"
         )
+    for v in w:
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite edge weight {v} in {weights!r}")
     if any(v < 0 for v in w):
         raise ValueError(f"negative edge weight in {weights!r}")
+    return w
+
+
+def reduced_cubic(topology: Topology, weights) -> CubicCoeffs:
+    """Cubic whose roots are the three nonzero-slot eigenvalues.
+
+    The weights are read as Python floats, so the coefficients are Python
+    floats too; count, finiteness and sign are checked as
+    ``graphs.check_weights`` does.
+    """
+    w = _float_weights(topology, weights)
     coeffs = COEFFS.get(topology.kind)
     if coeffs is None:
         raise ValueError(
@@ -114,67 +130,35 @@ def reduced_cubic_batch(topology: Topology, weight_rows: np.ndarray):
 
 
 def cubic_discriminant(p2: float, p1: float, p0: float) -> float:
-    """Discriminant 18*B*C*D - 4*B^3*D + B^2*C^2 - 4*C^3 - 27*D^2 of the monic cubic."""
-    return (
-        18.0 * p2 * p1 * p0
-        - 4.0 * p2**3 * p0
-        + p2**2 * p1**2
-        - 4.0 * p1**3
-        - 27.0 * p0**2
-    )
+    """Discriminant 18*B*C*D - 4*B^3*D + B^2*C^2 - 4*C^3 - 27*D^2 of the monic cubic.
+
+    Operators only, so it serves Python floats and numpy arrays alike.
+    """
+    return 18.0 * p2 * p1 * p0 - 4.0 * p2**3 * p0 + p2**2 * p1**2 - 4.0 * p1**3 - 27.0 * p0**2
 
 
-def _disc_tol(p2, p1, p0):
-    scale = max(1.0, abs(p2), abs(p1), abs(p0))
-    return DISC_TOL * scale**3
+_TWO_PI = 2.0 * math.pi
 
 
 def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def _newton_polish(root, p2, p1, p0):
-    # single guarded Newton step on the monic cubic; skipped near critical points
-    f = ((root + p2) * root + p1) * root + p0
-    fp = (3.0 * root + 2.0 * p2) * root + p1
-    scale = max(1.0, abs(root))
-    if abs(fp) > 1e-6 * scale * scale:
-        root -= f / fp
-    return root
+def _roots(p2, p1, p0, three=True, clamp=True):
+    """The scalar kernel: real roots of the monic cubic on floats, ascending.
 
-
-def _refine_close_pair(roots: list[float], p2: float, p1: float) -> list[float]:
-    """Recover a nearly repeated pair of roots through deflation.
-
-    The trigonometric formula loses half the digits at a double root.  When
-    the third root is well separated (hence accurate after polishing), the
-    close pair solves u^2 - sigma*u + prod with sigma and prod read off the
-    cubic's coefficients, which restores full precision.
+    Trigonometric form when all roots are real, Cardano otherwise, then one
+    guarded Newton step per root.  The trigonometric form loses half the
+    digits at a double root, so a close pair is re-solved from the
+    coefficients and the well separated (accurate) third root.  With
+    ``three``, a discriminant below the roundoff band raises
+    :class:`NoThreeRealRoots` and a lone root inside the band is deflated to
+    three; with ``clamp`` too, roots in (-ZERO_CLAMP, 0) come back as 0.
     """
-    r1, r2, r3 = roots
-    d12 = r2 - r1
-    d23 = r3 - r2
-    scale = max(1.0, abs(r1), abs(r3))
-    if d12 <= d23:
-        iso, dpair, diso = r3, d12, d23
-    else:
-        iso, dpair, diso = r1, d23, d12
-    if dpair >= 1e-3 * scale or diso <= 10.0 * dpair:
-        return roots
-    sigma = -p2 - iso
-    prod = p1 - iso * sigma
-    disc = max(sigma * sigma - 4.0 * prod, 0.0)
-    r = math.sqrt(disc)
-    pair = [(sigma - r) / 2.0, (sigma + r) / 2.0]
-    return sorted(pair + [iso])
-
-
-def cubic_real_roots(p2: float, p1: float, p0: float) -> list[float]:
-    """All real roots of the monic cubic (one or three), ascending.
-
-    Uses the trigonometric form of the depressed cubic when all roots are
-    real and the Cardano branch otherwise.
-    """
+    if three:
+        disc = cubic_discriminant(p2, p1, p0)
+        if disc < -DISC_TOL * max(1.0, abs(p2), abs(p1), abs(p0)) ** 3:
+            raise NoThreeRealRoots(f"discriminant {disc} < 0 for {CubicCoeffs(p2, p1, p0)}")
     p = p1 - p2 * p2 / 3.0
     q = 2.0 * p2**3 / 27.0 - p2 * p1 / 3.0 + p0
     shift = -p2 / 3.0
@@ -185,17 +169,54 @@ def cubic_real_roots(p2: float, p1: float, p0: float) -> list[float]:
         if m == 0.0:
             roots = [shift, shift, shift]
         else:
-            cosarg = min(1.0, max(-1.0, 3.0 * q / (p * m)))
-            phi = math.acos(cosarg)
+            phi = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * m))))
             roots = [
-                m * math.cos((phi - 2.0 * math.pi * k) / 3.0) + shift for k in range(3)
+                m * math.cos(phi / 3.0) + shift,
+                m * math.cos((phi - _TWO_PI) / 3.0) + shift,
+                m * math.cos((phi - 2.0 * _TWO_PI) / 3.0) + shift,
             ]
-        roots = [_newton_polish(r, p2, p1, p0) for r in roots]
+    else:
+        sqrt_h = math.sqrt(h)
+        roots = [_cbrt(-q / 2.0 + sqrt_h) + _cbrt(-q / 2.0 - sqrt_h) + shift]
+    for k, r in enumerate(roots):
+        fp = (3.0 * r + 2.0 * p2) * r + p1
+        scale = max(1.0, abs(r))
+        if abs(fp) > 1e-6 * scale * scale:
+            roots[k] = r - (((r + p2) * r + p1) * r + p0) / fp
+    if len(roots) == 3:
         roots.sort()
-        return _refine_close_pair(roots, p2, p1)
-    sqrt_h = math.sqrt(h)
-    root = _cbrt(-q / 2.0 + sqrt_h) + _cbrt(-q / 2.0 - sqrt_h) + shift
-    return [_newton_polish(root, p2, p1, p0)]
+        r1, r2, r3 = roots
+        d12 = r2 - r1
+        d23 = r3 - r2
+        scale = max(1.0, abs(r1), abs(r3))
+        if d12 <= d23:
+            iso, dpair, diso = r3, d12, d23
+        else:
+            iso, dpair, diso = r1, d23, d12
+        if not (dpair >= 1e-3 * scale or diso <= 10.0 * dpair):
+            sigma = -p2 - iso
+            prod = p1 - iso * sigma
+            r = math.sqrt(max(sigma * sigma - 4.0 * prod, 0.0))
+            roots = sorted([(sigma - r) / 2.0, (sigma + r) / 2.0, iso])
+    elif three:
+        r = roots[0]
+        double = -(p2 + r) / 2.0
+        roots = sorted([r, double, double])
+    if not three:
+        return roots
+    r1, r2, r3 = roots
+    if clamp:
+        return (
+            0.0 if -ZERO_CLAMP < r1 < 0.0 else r1,
+            0.0 if -ZERO_CLAMP < r2 < 0.0 else r2,
+            0.0 if -ZERO_CLAMP < r3 < 0.0 else r3,
+        )
+    return r1, r2, r3
+
+
+def cubic_real_roots(p2: float, p1: float, p0: float) -> list[float]:
+    """All real roots of the monic cubic (one or three), ascending."""
+    return _roots(p2, p1, p0, three=False)
 
 
 def solve_cubic_real(coeffs: CubicCoeffs) -> tuple[float, float, float]:
@@ -204,25 +225,12 @@ def solve_cubic_real(coeffs: CubicCoeffs) -> tuple[float, float, float]:
     Raises :class:`NoThreeRealRoots` when the discriminant is negative
     beyond the roundoff band.
     """
-    p2, p1, p0 = coeffs.p2, coeffs.p1, coeffs.p0
-    disc = cubic_discriminant(p2, p1, p0)
-    if disc < -_disc_tol(p2, p1, p0):
-        raise NoThreeRealRoots(f"discriminant {disc} < 0 for {coeffs}")
-    roots = cubic_real_roots(p2, p1, p0)
-    if len(roots) == 1:
-        # discriminant within the roundoff band but Cardano saw h > 0:
-        # deflate by the accurate real root and clamp the remaining pair's
-        # discriminant to zero (covers near-double and near-triple roots)
-        r = roots[0]
-        double = -(p2 + r) / 2.0
-        roots = sorted([r, double, double])
-    return tuple(roots)
+    return _roots(coeffs.p2, coeffs.p1, coeffs.p0, clamp=False)
 
 
 def laplacian_cubic_roots(coeffs: CubicCoeffs) -> tuple[float, float, float]:
     """Roots of a Laplacian cubic, with near-zero roundoff clamped to 0."""
-    roots = solve_cubic_real(coeffs)
-    return tuple(0.0 if -ZERO_CLAMP < r < 0.0 else r for r in roots)
+    return _roots(coeffs.p2, coeffs.p1, coeffs.p0)
 
 
 def solve_cubic_real_batch(p2, p1, p0, strict: bool = True) -> np.ndarray:
@@ -236,13 +244,7 @@ def solve_cubic_real_batch(p2, p1, p0, strict: bool = True) -> np.ndarray:
     p1 = np.asarray(p1, dtype=float)
     p0 = np.asarray(p0, dtype=float)
     if strict:
-        disc = (
-            18.0 * p2 * p1 * p0
-            - 4.0 * p2**3 * p0
-            + p2**2 * p1**2
-            - 4.0 * p1**3
-            - 27.0 * p0**2
-        )
+        disc = cubic_discriminant(p2, p1, p0)
         scale = np.maximum(1.0, np.maximum(np.abs(p2), np.maximum(np.abs(p1), np.abs(p0))))
         bad = disc < -DISC_TOL * scale**3
         if np.any(bad):

@@ -83,6 +83,9 @@ def check_weights(topology: Topology, weights) -> np.ndarray:
             f"{topology.kind} graph expects {topology.edge_count} weights, "
             f"got shape {w.shape}"
         )
+    finite = np.isfinite(w)
+    if not finite.all():
+        raise ValueError(f"non-finite edge weight {w[~finite][0]} in {weights!r}")
     if np.any(w < 0):
         raise ValueError(f"negative edge weight in {weights!r}")
     return w
@@ -110,6 +113,9 @@ def build_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarray:
     w = np.asarray(weight_rows, dtype=float)
     if w.ndim != 2 or w.shape[1] != topology.edge_count:
         raise ValueError(f"expected shape (batch, {topology.edge_count}), got {w.shape}")
+    finite = np.isfinite(w)
+    if not finite.all():
+        raise ValueError(f"non-finite edge weight {w[~finite][0]}")
     if np.any(w < 0):
         raise ValueError("negative edge weight")
     n = topology.order

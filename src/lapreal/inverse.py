@@ -4,6 +4,11 @@ Each solver follows the constructive existence proof for its topology.
 Cycle and kite work under the sum-8 normalization and rescale back; the
 path works with the raw sum 2f.  ``invert_complete`` realizes any
 nonnegative tuple on a complete graph through repeated suspensions.
+
+A four-vertex solver validates its target once and lets the topology's
+mask decide, the test that ``check_*`` applies to the same floats, so a
+check and an invert cannot disagree; ``check_*`` is called only to explain
+a rejection with the certificate that ``NotRealizable`` carries.
 """
 
 from __future__ import annotations
@@ -14,25 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cubic
-from .cubic import (
-    COEFFS,
-    CubicCoeffs,
-    NoThreeRealRoots,
-    cubic_real_roots,
-    laplacian_cubic_roots,
-    solve_cubic_real,
-)
+from .cubic import COEFFS, NoThreeRealRoots, _roots, cubic_discriminant, cubic_real_roots
 from .graphs import CYCLE4, KITE, PATH4, STAR, Topology, build_laplacian, complete
 from .jacobi import spectrum_numeric
-from .realizability import (
-    Certificate,
-    check_cycle,
-    check_kite,
-    check_path,
-    check_star,
-    _validate_triple,
-)
+from .realizability import CHECKS, MASKS, Certificate, _validate_triple
 
 #: clamp band for roundoff-negative weights and quadratic discriminants
 CLAMP_TOL = 1e-9
@@ -86,10 +76,19 @@ def _quad_roots(sigma: float, prod: float) -> tuple[float, float]:
     return (sigma + r) / 2.0, (sigma - r) / 2.0
 
 
+def _admitted(kind: str, target) -> tuple[float, float, float]:
+    """The validated target; outside the region, NotRealizable with the check's certificate."""
+    triple = _validate_triple(target)
+    if not MASKS[kind](*triple):
+        raise NotRealizable(CHECKS[kind](triple).certificate)
+    return triple
+
+
 def _closed_form_residual(topology: Topology, weights, target) -> float:
     # the weights come from _clamp_nonneg, so they are already nonnegative
-    # floats of the right count and need no second validation
-    g1, g2, g3 = sorted(laplacian_cubic_roots(CubicCoeffs(*COEFFS[topology.kind](*weights))))
+    # floats of the right count and need no second validation; the kernel
+    # returns the roots ascending
+    g1, g2, g3 = _roots(*COEFFS[topology.kind](*weights))
     w1, w2, w3 = sorted(target)
     return max(abs(g1 - w1), abs(g2 - w2), abs(g3 - w3))
 
@@ -103,22 +102,15 @@ def invert_star(target) -> InverseSolution:
     scale with the target, and near the star boundary or at sums away
     from 1 it would accept them with large residuals.
     """
-    x, y, z = _validate_triple(target)
-    verdict = check_star((x, y, z))
-    if not verdict.realizable:
-        raise NotRealizable(verdict.certificate)
-    coeffs = CubicCoeffs(
-        -0.5 * (x + y + z),
-        (x * y + x * z + y * z) / 3.0,
-        -0.25 * x * y * z,
-    )
+    x, y, z = _admitted("star", target)
+    coeffs = (-0.5 * (x + y + z), (x * y + x * z + y * z) / 3.0, -0.25 * x * y * z)
     try:
-        roots = solve_cubic_real(coeffs)
+        roots = _roots(*coeffs, clamp=False)
     except NoThreeRealRoots:
         raise NotRealizable(
             Certificate(
                 "star-length-cubic",
-                cubic.cubic_discriminant(coeffs.p2, coeffs.p1, coeffs.p0),
+                cubic_discriminant(*coeffs),
                 "length cubic has complex roots",
             )
         ) from None
@@ -135,10 +127,7 @@ def invert_cycle(target) -> InverseSolution:
     weights are recovered from the quadratics u^2 - a*u + c and
     u^2 - (4-a)*u + d.
     """
-    triple = _validate_triple(target)
-    verdict = check_cycle(triple)
-    if not verdict.realizable:
-        raise NotRealizable(verdict.certificate)
+    triple = _admitted("cycle", target)
     total = sum(triple)
     if total == 0.0:
         return InverseSolution(CYCLE4, (0.0, 0.0, 0.0, 0.0), 0.0)
@@ -171,10 +160,7 @@ def invert_path(target) -> InverseSolution:
     the outer weights come from u^2 - (f-a)*u + d.  The degenerate case
     with a zero entry uses a = 0 directly.
     """
-    triple = _validate_triple(target)
-    verdict = check_path(triple)
-    if not verdict.realizable:
-        raise NotRealizable(verdict.certificate)
+    triple = _admitted("path", target)
     total = sum(triple)
     if total == 0.0:
         return InverseSolution(PATH4, (0.0, 0.0, 0.0), 0.0)
@@ -220,10 +206,7 @@ def invert_kite(target) -> InverseSolution:
     R = sqrt((L1-L3)^2 - 2*L1*L3), and c = 4b - bd - (3/4)b^2; then
     l4 = d, l1 = 4 - b - d and l2, l3 solve u^2 - b*u + (c - b*l1).
     """
-    triple = _validate_triple(target)
-    verdict = check_kite(triple)
-    if not verdict.realizable:
-        raise NotRealizable(verdict.certificate)
+    triple = _admitted("kite", target)
     total = sum(triple)
     if total == 0.0:
         return InverseSolution(KITE, (0.0, 0.0, 0.0, 0.0), 0.0)

@@ -9,6 +9,8 @@ matrix over its largest entry, times that entry, so it cannot overflow.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 #: off-diagonal convergence threshold relative to the Frobenius norm
@@ -21,8 +23,12 @@ class JacobiNonConvergence(RuntimeError):
     """The sweep limit was hit before the off-diagonal mass vanished."""
 
 
-def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """One sweep: steps ``(p, q, perm)`` of disjoint pairs p < q, ``perm`` swapping each."""
+@functools.cache
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """One sweep: steps ``(p, q, perm)`` of disjoint pairs p < q, ``perm`` swapping each.
+
+    Built once per order and shared, so the index arrays are read-only.
+    """
     m = n + n % 2  # for odd n, a dummy index n pads the ring and its pair is dropped
     ring = np.arange(m)
     steps = []
@@ -31,9 +37,11 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         p, q = p[q < n], q[q < n]
         perm = np.arange(n)
         perm[p], perm[q] = q, p
+        for a in (p, q, perm):
+            a.flags.writeable = False
         steps.append((p, q, perm))
         ring[1:] = np.roll(ring[1:], 1)
-    return steps
+    return tuple(steps)
 
 
 def jacobi_spectra(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:

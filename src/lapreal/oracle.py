@@ -179,16 +179,14 @@ def _roundtrip_four_vertex(topology: Topology, cfg: SamplerConfig) -> RoundtripR
     triples = []
     for _ in range(500):
         x, y, z = sample_simplex(rng, block)
-        keep = mask_fn(x, y, z)
+        keep = np.flatnonzero(mask_fn(x, y, z))[: cfg.samples - len(triples)]
         # Python floats, so the scalar inverters make no numpy scalars
         triples.extend(zip(x[keep].tolist(), y[keep].tolist(), z[keep].tolist()))
         if len(triples) >= cfg.samples:
             break
-    triples = triples[: cfg.samples]
-    weights = np.empty((len(triples), topology.edge_count))
     infeasible = 0
     rejected = 0
-    kept = 0
+    weights = []
     kept_targets = []
     for triple in triples:
         try:
@@ -199,12 +197,12 @@ def _roundtrip_four_vertex(topology: Topology, cfg: SamplerConfig) -> RoundtripR
         except NotRealizable:
             rejected += 1
             continue
-        weights[kept] = sol.weights
+        weights.append(sol.weights)
         kept_targets.append(triple)
-        kept += 1
+    kept = len(weights)
     max_residual = 0.0
     if kept:
-        spectra = jacobi_spectra(build_laplacians(topology, weights[:kept]))
+        spectra = jacobi_spectra(build_laplacians(topology, np.array(weights)))
         want = np.sort(np.asarray(kept_targets), axis=1)
         res = np.abs(spectra[:, 1:] - want).max(axis=1)
         max_residual = float(max(res.max(), np.abs(spectra[:, 0]).max()))

@@ -56,6 +56,25 @@ class TestEigs:
         assert code == 0
         assert "spectrum=[0,7.69461815e+160,1.48763738e+161,1.94290081e+161]" in out
 
+    @pytest.mark.parametrize(
+        "graph, weights, spectrum",
+        [
+            # used to end in an OverflowError from the discriminant band
+            ("cycle", "1e40,2e40,3e40,4e40", "[0,3.24559429e+40,5.45221889e+40,1.13021868e+41]"),
+            # used to end in a ZeroDivisionError in the trigonometric roots
+            ("star", "1e-120,2e-120,3e-120", "[0,1.19439717e-120,2.38677016e-120,8.41883268e-120]"),
+        ],
+    )
+    def test_extreme_weight_scales(self, capsys, graph, weights, spectrum):
+        code, out, _ = run(capsys, "eigs", "--graph", graph, "--weights", weights)
+        assert code == 0
+        assert f"spectrum={spectrum}" in out
+
+    def test_spectrum_beyond_float_range_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "eigs", "--graph", "star", "--weights", "1e308,1e308,1e308")
+        assert code == 2
+        assert "overflows the float range" in err
+
 
 class TestCheck:
     def test_cycle_reject_certificate(self, capsys):

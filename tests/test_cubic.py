@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lapreal import forward_spectrum
 from lapreal.cubic import (
     CubicCoeffs,
     NoThreeRealRoots,
@@ -14,7 +15,7 @@ from lapreal.cubic import (
     solve_cubic_real,
     solve_cubic_real_batch,
 )
-from lapreal.graphs import CYCLE4, KITE, PATH4, STAR, complete
+from lapreal.graphs import CYCLE4, KITE, PATH4, STAR, build_laplacian, complete
 
 
 class TestReducedCubic:
@@ -149,3 +150,34 @@ class TestBatchSolver:
     def test_strict_raises_on_complex_row(self):
         with pytest.raises(NoThreeRealRoots):
             solve_cubic_real_batch([0.0], [1.0], [0.0])
+
+
+class TestForwardSpectrumScale:
+    # weights whose largest entry is outside [2**-60, 2**60] are solved at
+    # an exact power-of-two rescaling; the cycle at 1e40 used to overflow in
+    # the discriminant band and the star at 1e-120 to divide by zero
+    @pytest.mark.parametrize("topo", [STAR, CYCLE4, PATH4, KITE])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-120, 1e-60, 1e-20, 1e20, 1e40, 1e100, 1e150])
+    def test_matches_eigvalsh_outside_native_range(self, topo, scale):
+        rng = np.random.default_rng([11, topo.edge_count])
+        for w in rng.uniform(0.0, 4.0, (20, topo.edge_count)) * scale:
+            got = forward_spectrum(topo, w)
+            want = np.linalg.eigvalsh(build_laplacian(topo, w))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("topo", [STAR, CYCLE4, PATH4, KITE])
+    def test_unchanged_inside_native_range(self, topo):
+        rng = np.random.default_rng([12, topo.edge_count])
+        for scale in (2.0**-60, 1e-9, 1.0, 1e9, 2.0**60):
+            for w in rng.uniform(0.0, 1.0, (20, topo.edge_count)) * scale:
+                w[np.argmax(w)] = scale
+                roots = laplacian_cubic_roots(reduced_cubic(topo, w))
+                want = np.sort(np.concatenate(([0.0], roots)))
+                assert np.array_equal(forward_spectrum(topo, w), want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # forward_spectrum(STAR, [nan, 1, 1]) used to return a NaN spectrum
+        for topo, w in ((STAR, [bad, 1.0, 1.0]), (complete(4), [1.0] * 5 + [bad])):
+            with pytest.raises(ValueError, match="non-finite"):
+                forward_spectrum(topo, w)

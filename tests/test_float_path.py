@@ -12,9 +12,18 @@ import math
 import numpy as np
 import pytest
 
-from lapreal.cubic import reduced_cubic
+from lapreal.cubic import (
+    COEFFS,
+    CubicCoeffs,
+    NoThreeRealRoots,
+    cubic_real_roots,
+    laplacian_cubic_roots,
+    reduced_cubic,
+    solve_cubic_real,
+)
 from lapreal.graphs import CYCLE4, KITE, PATH4, STAR
 from lapreal.inverse import INVERTERS, NotRealizable
+from lapreal.oracle import SamplerConfig, roundtrip_suite
 from lapreal.realizability import CHECKS
 
 KINDS = ("star", "cycle", "path", "kite")
@@ -122,3 +131,89 @@ def test_reduced_cubic_rejects_bad_weights(wrap):
         reduced_cubic(CYCLE4, wrap([1.0, 2.0, 3.0, 4.0, 5.0]))
     with pytest.raises(ValueError, match="negative"):
         reduced_cubic(PATH4, wrap([1.0, -2.0, 3.0]))
+
+
+@pytest.mark.parametrize("wrap", [tuple, list, np.array])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_reduced_cubic_rejects_non_finite_weights(wrap, bad):
+    with pytest.raises(ValueError, match=f"non-finite edge weight {bad}"):
+        reduced_cubic(KITE, wrap([1.0, 2.0, bad, 3.0]))
+
+
+#: sha256 of repr(cubic_root_records()) written at commit 88ac83a
+CUBIC_ROOTS_DIGEST = "9d903cab7ce9f48d456f1c64bde574fa72f22843a212707cec7823a3d8eb0477"
+
+#: sha256 of the RoundtripReport lines of roundtrip_reports(), written at commit 88ac83a
+ROUNDTRIP_DIGEST = "8f149f8963aee5d83e5e1de70c571e73cd9112f480e2faf37de9c5ccf3c368bd"
+
+
+def cubic_inputs():
+    """Seeded Laplacian cubics of every topology over three scales, plus one-real-root cubics."""
+    rng = np.random.default_rng(77)
+    out = []
+    for topology in (STAR, CYCLE4, PATH4, KITE):
+        for scale in (1e-3, 1.0, 1e3):
+            w = rng.random((150, topology.edge_count)) * scale
+            w[rng.random(w.shape) < 0.2] = 0.0
+            w[:10] = scale  # equal weights: repeated roots
+            out += [COEFFS[topology.kind](*row) for row in w.tolist()]
+    out += [tuple(row) for row in rng.standard_normal((150, 3)).tolist()]
+    return out + [(0.0, 1.0, 0.0), (-2.0, 1.0, -2.0), (0.0, 0.0, 0.0), (-6.0, 9.0, -4.0)]
+
+
+def _hex_or_error(fn, *args):
+    try:
+        return [float(r).hex() for r in fn(*args)]
+    except NoThreeRealRoots as exc:
+        return ["NoThreeRealRoots", str(exc)]
+
+
+def cubic_root_records():
+    return [
+        [_hex_or_error(cubic_real_roots, *c),
+         _hex_or_error(solve_cubic_real, CubicCoeffs(*c)),
+         _hex_or_error(laplacian_cubic_roots, CubicCoeffs(*c))]
+        for c in cubic_inputs()
+    ]
+
+
+def test_cubic_roots_digest():
+    records = cubic_root_records()
+    assert any(r[1][0] == "NoThreeRealRoots" for r in records)
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == CUBIC_ROOTS_DIGEST
+
+
+def roundtrip_reports():
+    # 15000 samples take two 10000-point sampling blocks on every topology
+    return [
+        line
+        for seed in (1, 2, 3)
+        for samples in (1000, 15000)
+        for topology in (STAR, CYCLE4, PATH4, KITE)
+        for line in roundtrip_suite(topology, SamplerConfig(seed=seed, samples=samples)).lines()
+    ]
+
+
+def test_roundtrip_reports_digest():
+    digest = hashlib.sha256("\n".join(roundtrip_reports()).encode()).hexdigest()
+    assert digest == ROUNDTRIP_DIGEST
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rejected_invert_carries_check_certificate(kind):
+    rng = np.random.default_rng([31, KINDS.index(kind)])
+    u = np.sort(rng.random((400, 2)), axis=1)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, 400)
+    rows = np.stack([u[:, 0], u[:, 1] - u[:, 0], 1.0 - u[:, 1]], axis=1) * scale[:, None]
+    names = set()
+    for target in rows.tolist():
+        verdict = CHECKS[kind](target)
+        if verdict.realizable:
+            continue
+        with pytest.raises(NotRealizable) as info:
+            INVERTERS[kind](target)
+        assert info.value.certificate == verdict.certificate
+        names.add(verdict.certificate.name)
+    # the path rejects through both its cycle condition and its own inequality
+    assert len(names) == (2 if kind == "path" else 1)

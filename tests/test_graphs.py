@@ -66,6 +66,18 @@ class TestCheckWeights:
         w = check_weights(KITE, [0.0, 0.0, 0.0, 0.0])
         assert np.all(w == 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # NaN used to pass through into a NaN Laplacian and spectrum
+        with pytest.raises(ValueError, match=f"non-finite edge weight {bad}"):
+            check_weights(STAR, [1.0, bad, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            build_laplacian(complete(4), [1.0, 1.0, bad, 1.0, 1.0, 1.0])
+        rows = np.ones((5, 4))
+        rows[3, 2] = bad
+        with pytest.raises(ValueError, match=f"non-finite edge weight {bad}"):
+            build_laplacians(CYCLE4, rows)
+
 
 class TestBuildLaplacian:
     def test_unit_star_matrix(self):

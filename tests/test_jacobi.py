@@ -42,6 +42,13 @@ class TestRoundRobin:
             seen += list(zip(p.tolist(), q.tolist()))
         assert sorted(seen) == list(itertools.combinations(range(n), 2))
 
+    def test_schedule_built_once_and_read_only(self):
+        steps = _round_robin(6)
+        assert _round_robin(6) is steps
+        for arr in steps[0]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
 
 class TestSpectrumNumeric:
     def test_unit_star(self):
