@@ -89,6 +89,8 @@ def _cmd_check(args) -> int:
             verdict = check_complete(triple, len(triple) + 1)
     except ValueError as exc:
         raise UsageError(str(exc))
+    except OverflowError:
+        raise UsageError(f"{args.graph}: --triple {args.triple} overflows the float range")
     print(f"graph={args.graph}")
     print(f"realizable={'true' if verdict.realizable else 'false'}")
     if verdict.certificate is not None:
@@ -96,30 +98,32 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_invert(args) -> int:
-    triple = _parse_floats(args.triple, "--triple")
+def _invert_records(graph: str, triple: list[float]) -> tuple[int, list[str]]:
+    """Exit status and records; the lazy residual and certificate are read before printing."""
     try:
-        if args.graph in INVERTERS:
-            solution = INVERTERS[args.graph](triple)
-        elif args.graph == "k4":
-            if len(triple) != 3:
-                raise ValueError(f"K4 expects 3 target eigenvalues, got {len(triple)}")
-            solution = invert_complete(triple)
+        if graph in INVERTERS:
+            solution = INVERTERS[graph](triple)
+        elif graph == "k4" and len(triple) != 3:
+            raise ValueError(f"K4 expects 3 target eigenvalues, got {len(triple)}")
         else:
             solution = invert_complete(triple)
     except NotRealizable as exc:
-        print(f"graph={args.graph}")
-        print("realizable=false")
-        if exc.certificate is not None:
-            print(f'certificate="{exc.certificate.detail}"')
-        return 1
+        cert = exc.certificate
+        return 1, ["realizable=false"] + ([f'certificate="{cert.detail}"'] if cert else [])
+    weights, residual = _fmt_list(solution.weights), _fmt(solution.residual)
+    return 0, ["realizable=true", f"weights={weights}", f"residual={residual}"]
+
+
+def _cmd_invert(args) -> int:
+    triple = _parse_floats(args.triple, "--triple")
+    try:
+        status, records = _invert_records(args.graph, triple)
     except ValueError as exc:
         raise UsageError(str(exc))
-    print(f"graph={args.graph}")
-    print("realizable=true")
-    print(f"weights={_fmt_list(solution.weights)}")
-    print(f"residual={_fmt(solution.residual)}")
-    return 0
+    except OverflowError:
+        raise UsageError(f"{args.graph}: --triple {args.triple} overflows the float range")
+    print(f"graph={args.graph}", *records, sep="\n")
+    return status
 
 
 def _cmd_region(args) -> int:

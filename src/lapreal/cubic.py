@@ -236,6 +236,7 @@ def laplacian_cubic_roots(coeffs: CubicCoeffs) -> tuple[float, float, float]:
 def solve_cubic_real_batch(p2, p1, p0, strict: bool = True) -> np.ndarray:
     """Vectorized three-real-root solver; returns a (batch, 3) ascending array.
 
+    Raises ``ValueError`` naming the first NaN or infinite coefficient.
     With ``strict`` set, raises :class:`NoThreeRealRoots` if any row has a
     discriminant below the roundoff band.  Intended for Laplacian cubics,
     whose roots are always real.
@@ -243,6 +244,10 @@ def solve_cubic_real_batch(p2, p1, p0, strict: bool = True) -> np.ndarray:
     p2 = np.asarray(p2, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     p0 = np.asarray(p0, dtype=float)
+    for name, p in (("p2", p2), ("p1", p1), ("p0", p0)):
+        if not np.isfinite(p).all():
+            idx = int(np.argmin(np.isfinite(p)))
+            raise ValueError(f"row {idx}: non-finite coefficient {name} = {p[idx]}")
     if strict:
         disc = cubic_discriminant(p2, p1, p0)
         scale = np.maximum(1.0, np.maximum(np.abs(p2), np.maximum(np.abs(p1), np.abs(p0))))

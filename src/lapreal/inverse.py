@@ -7,12 +7,13 @@ nonnegative tuple on a complete graph through repeated suspensions.
 
 A four-vertex solver validates its target once and lets the topology's
 mask decide, the test that ``check_*`` applies to the same floats, so a
-check and an invert cannot disagree; ``check_*`` is called only to explain
-a rejection with the certificate that ``NotRealizable`` carries.
+check and an invert cannot disagree.  A solution's ``residual`` and a
+rejection's ``certificate`` are computed when first read, then cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cubic import COEFFS, NoThreeRealRoots, _roots, cubic_discriminant, cubic_real_roots
-from .graphs import CYCLE4, KITE, PATH4, STAR, Topology, build_laplacian, complete
+from .graphs import COMPLETE_KIND, CYCLE4, KITE, PATH4, STAR, Topology, build_laplacian, complete
 from .jacobi import spectrum_numeric
 from .realizability import CHECKS, MASKS, Certificate, _validate_triple
 
@@ -32,12 +33,18 @@ RESIDUAL_TOL = 1e-8
 
 
 class NotRealizable(Exception):
-    """The target spectrum is outside the topology's realizable region."""
+    """Target outside the topology's region; ``certificate`` is computed on first read."""
 
-    def __init__(self, certificate: Certificate | None = None):
-        self.certificate = certificate
-        detail = certificate.detail if certificate else "no three real roots"
-        super().__init__(detail)
+    def __init__(self, certificate: Certificate | None = None, kind=None, triple=None):
+        super().__init__(certificate, kind, triple)
+
+    @functools.cached_property
+    def certificate(self) -> Certificate | None:
+        certificate, kind, triple = self.args
+        return certificate if kind is None else CHECKS[kind](triple).certificate
+
+    def __str__(self) -> str:
+        return self.certificate.detail if self.certificate else "no three real roots"
 
 
 class InternalInfeasible(RuntimeError):
@@ -46,9 +53,19 @@ class InternalInfeasible(RuntimeError):
 
 @dataclass(frozen=True)
 class InverseSolution:
+    """Weights for ``target`` on ``topology``; ``residual`` is computed on first read."""
+
     topology: Topology
     weights: tuple[float, ...]
-    residual: float
+    target: tuple[float, ...]
+
+    @functools.cached_property
+    def residual(self) -> float:
+        if self.topology.kind != COMPLETE_KIND:
+            return _closed_form_residual(self.topology, self.weights, self.target)
+        spec = spectrum_numeric(build_laplacian(self.topology, self.weights))
+        want = np.sort(np.concatenate(([0.0], self.target)))
+        return float(np.max(np.abs(spec - want)))
 
 
 def _clamp_nonneg(values, scale: float = 1.0):
@@ -80,7 +97,7 @@ def _admitted(kind: str, target) -> tuple[float, float, float]:
     """The validated target; outside the region, NotRealizable with the check's certificate."""
     triple = _validate_triple(target)
     if not MASKS[kind](*triple):
-        raise NotRealizable(CHECKS[kind](triple).certificate)
+        raise NotRealizable(kind=kind, triple=triple)
     return triple
 
 
@@ -115,8 +132,7 @@ def invert_star(target) -> InverseSolution:
             )
         ) from None
     weights = tuple(_clamp_nonneg(roots, scale=x + y + z))
-    residual = _closed_form_residual(STAR, weights, (x, y, z))
-    return InverseSolution(STAR, weights, residual)
+    return InverseSolution(STAR, weights, (x, y, z))
 
 
 def invert_cycle(target) -> InverseSolution:
@@ -130,7 +146,7 @@ def invert_cycle(target) -> InverseSolution:
     triple = _admitted("cycle", target)
     total = sum(triple)
     if total == 0.0:
-        return InverseSolution(CYCLE4, (0.0, 0.0, 0.0, 0.0), 0.0)
+        return InverseSolution(CYCLE4, (0.0, 0.0, 0.0, 0.0), triple)
     factor = 8.0 / total
     lam = sorted(v * factor for v in triple)  # ascending
     s = lam[2] - 4.0
@@ -149,8 +165,7 @@ def invert_cycle(target) -> InverseSolution:
     weights = tuple(
         w / factor for w in _clamp_nonneg((l1, l2, l3, l4), scale=8.0)
     )
-    residual = _closed_form_residual(CYCLE4, weights, triple)
-    return InverseSolution(CYCLE4, weights, residual)
+    return InverseSolution(CYCLE4, weights, triple)
 
 
 def invert_path(target) -> InverseSolution:
@@ -163,7 +178,7 @@ def invert_path(target) -> InverseSolution:
     triple = _admitted("path", target)
     total = sum(triple)
     if total == 0.0:
-        return InverseSolution(PATH4, (0.0, 0.0, 0.0), 0.0)
+        return InverseSolution(PATH4, (0.0, 0.0, 0.0), triple)
     f = total / 2.0
     lam = sorted(triple)  # ascending
     s = lam[2] - f
@@ -174,8 +189,7 @@ def invert_path(target) -> InverseSolution:
         d = (f * f - s * s) / 4.0
         l2, l4 = _quad_roots(f, d)
         weights = tuple(_clamp_nonneg((l2, 0.0, l4), scale=f))
-        residual = _closed_form_residual(PATH4, weights, triple)
-        return InverseSolution(PATH4, weights, residual)
+        return InverseSolution(PATH4, weights, triple)
     lin = 4.0 * (f * f - s * s) + (f - s) ** 2 - t * t
     const = (f + s) * ((f - s) ** 2 - t * t)
     roots = cubic_real_roots(-f, lin / 12.0, -const / 12.0)
@@ -194,8 +208,7 @@ def invert_path(target) -> InverseSolution:
     d = const / (16.0 * a)
     l2, l4 = _quad_roots(f - a, d)
     weights = tuple(_clamp_nonneg((l2, a, l4), scale=f))
-    residual = _closed_form_residual(PATH4, weights, triple)
-    return InverseSolution(PATH4, weights, residual)
+    return InverseSolution(PATH4, weights, triple)
 
 
 def invert_kite(target) -> InverseSolution:
@@ -209,7 +222,7 @@ def invert_kite(target) -> InverseSolution:
     triple = _admitted("kite", target)
     total = sum(triple)
     if total == 0.0:
-        return InverseSolution(KITE, (0.0, 0.0, 0.0, 0.0), 0.0)
+        return InverseSolution(KITE, (0.0, 0.0, 0.0, 0.0), triple)
     factor = 8.0 / total
     lam3, _, lam1 = sorted(v * factor for v in triple)
     rsq = (lam1 - lam3) ** 2 - 2.0 * lam1 * lam3
@@ -229,8 +242,7 @@ def invert_kite(target) -> InverseSolution:
     weights = tuple(
         w / factor for w in _clamp_nonneg((l1, l2, l3, d), scale=8.0)
     )
-    residual = _closed_form_residual(KITE, weights, triple)
-    return InverseSolution(KITE, weights, residual)
+    return InverseSolution(KITE, weights, triple)
 
 
 INVERTERS = {
@@ -293,9 +305,7 @@ def invert_complete(target) -> InverseSolution:
     n1 = len(vals) + 1
     topo = complete(n1)
     weights = tuple(float(wmat[i, j]) for i, j in topo.edges)
-    spec = spectrum_numeric(build_laplacian(topo, weights))
-    want = np.sort(np.concatenate(([0.0], vals)))
-    residual = float(np.max(np.abs(spec - want)))
-    if residual > RESIDUAL_TOL * max(1.0, sum(vals)):
-        raise InternalInfeasible(f"residual {residual} above tolerance for K{n1}")
-    return InverseSolution(topo, weights, residual)
+    solution = InverseSolution(topo, weights, tuple(vals))
+    if solution.residual > RESIDUAL_TOL * max(1.0, sum(vals)):
+        raise InternalInfeasible(f"residual {solution.residual} above tolerance for K{n1}")
+    return solution

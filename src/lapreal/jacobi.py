@@ -52,6 +52,9 @@ def jacobi_spectra(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray
     batch, n = b.shape[:2]
     b = b.transpose(1, 2, 0).copy()
     big = np.abs(b).max(axis=(0, 1), initial=0.0)
+    if not np.isfinite(big).all():
+        i, j, k = np.argwhere(~np.isfinite(b))[0]
+        raise ValueError(f"non-finite entry {b[i, j, k]} in matrix {k} at [{i}, {j}]")
     norms = big * np.linalg.norm(b / np.where(big > 0.0, big, 1.0), axis=(0, 1))
     off_mask = ~np.eye(n, dtype=bool)
     steps = _round_robin(n)
@@ -84,6 +87,7 @@ def spectrum_numeric(mat: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarra
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.allclose(m, m.T, atol=1e-12 * max(1.0, np.abs(m).max())):
+    # a non-finite entry is left to jacobi_spectra, which names it
+    if np.isfinite(m).all() and not np.allclose(m, m.T, atol=1e-12 * max(1.0, np.abs(m).max())):
         raise ValueError("matrix is not symmetric")
     return jacobi_spectra(m[None, :, :], max_sweeps=max_sweeps)[0]

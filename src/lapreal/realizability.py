@@ -101,7 +101,7 @@ def kite_mask(x, y, z, tol: float = BOUNDARY_TOL):
     )
 
 
-def complete_mask(x, y, z, tol: float = BOUNDARY_TOL):
+def complete_mask(x, y, z):
     """Complete graphs realize every nonnegative tuple."""
     return np.broadcast_to(True, np.broadcast(x, y, z).shape).copy()
 

@@ -269,3 +269,24 @@ class TestNonFiniteInput:
         assert code == 2
         assert "finite" in err
         assert out == ""
+
+
+class TestOutOfRangeTarget:
+    # each ended in an OverflowError traceback with exit 1, the not-realizable code
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--graph", "star", "--triple", "4e100,3e100,1e100"),
+            ("check", "--graph", "path", "--triple", "4e100,3e100,1e100"),
+        ]
+        + [
+            ("invert", "--graph", graph, "--triple", "4e100,3e100,1e100")
+            for graph in ("star", "cycle", "path", "kite")
+        ],
+    )
+    def test_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+        assert "float range" in err

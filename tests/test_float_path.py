@@ -22,6 +22,7 @@ from lapreal.cubic import (
     solve_cubic_real,
 )
 from lapreal.graphs import CYCLE4, KITE, PATH4, STAR
+from lapreal import inverse
 from lapreal.inverse import INVERTERS, NotRealizable
 from lapreal.oracle import SamplerConfig, roundtrip_suite
 from lapreal.realizability import CHECKS
@@ -217,3 +218,94 @@ def test_rejected_invert_carries_check_certificate(kind):
         names.add(verdict.certificate.name)
     # the path rejects through both its cycle condition and its own inequality
     assert len(names) == (2 if kind == "path" else 1)
+
+
+# The evidence of an inverse is computed when it is first read.  The
+# rejection digest pins the lazy certificates and messages to those of the
+# eager ones; it was computed at commit e427347.
+REJECTION_DIGEST = "0e9b9107efb7d47bd5826d8ea933c767117c7737ed488ab16306091f7f69ce0f"
+
+TOPOLOGIES = dict(zip(KINDS, (STAR, CYCLE4, PATH4, KITE)))
+
+
+def rejected_targets(kind):
+    rng = np.random.default_rng([37, KINDS.index(kind)])
+    u = np.sort(rng.random((300, 2)), axis=1)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, 300)
+    rows = np.stack([u[:, 0], u[:, 1] - u[:, 0], 1.0 - u[:, 1]], axis=1) * scale[:, None]
+    return [t for t in rows.tolist() if not CHECKS[kind](t).realizable]
+
+
+def rejection_records():
+    records = []
+    for kind in KINDS:
+        for target in rejected_targets(kind):
+            with pytest.raises(NotRealizable) as info:
+                INVERTERS[kind](target)
+            cert = info.value.certificate
+            records.append([kind, cert.name, float(cert.value).hex(), cert.detail, str(info.value)])
+    return records
+
+
+def test_rejection_digest():
+    digest = hashlib.sha256(repr(rejection_records()).encode()).hexdigest()
+    assert digest == REJECTION_DIGEST
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner[name]`` (or ``owner.name``) by a wrapper that counts its calls."""
+    calls = []
+    original = owner[name] if isinstance(owner, dict) else getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    if isinstance(owner, dict):
+        monkeypatch.setitem(owner, name, wrapper)
+    else:
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_roundtrip_suite_computes_no_residual(monkeypatch, kind):
+    calls = counting(monkeypatch, inverse, "_closed_form_residual")
+    report = roundtrip_suite(TOPOLOGIES[kind], SamplerConfig(1, 200))
+    assert report.inverted == 200
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_residual_computed_once_on_first_read(monkeypatch, kind):
+    target = next(t for t in golden_targets(kind) if CHECKS[kind](t).realizable)
+    calls = counting(monkeypatch, inverse, "_closed_form_residual")
+    sol = INVERTERS[kind](target)
+    assert calls == []
+    first, second = sol.residual, sol.residual
+    assert len(calls) == 1
+    want = inverse._closed_form_residual(sol.topology, sol.weights, target)
+    assert first.hex() == second.hex() == want.hex()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rejection_builds_certificate_on_first_read(monkeypatch, kind):
+    targets = rejected_targets(kind)[:5]
+    calls = counting(monkeypatch, CHECKS, kind)
+    for read in (lambda exc: exc.certificate, str):
+        for target in targets:
+            with pytest.raises(NotRealizable) as info:
+                INVERTERS[kind](target)
+            assert calls == []
+            read(info.value)
+            read(info.value)
+            assert len(calls) == 1
+            calls.clear()
+
+
+def test_solution_equality_ignores_cached_residual():
+    a, b = (INVERTERS["cycle"]((1.0, 2.0, 5.0)) for _ in range(2))
+    a.residual
+    assert "residual" in vars(a) and "residual" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    assert a.target == (1.0, 2.0, 5.0)

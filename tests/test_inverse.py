@@ -256,6 +256,16 @@ class TestInvertComplete:
         with pytest.raises(InternalInfeasible, match="residual"):
             invert_complete((6.0, 3.0, 2.0))
 
+    def test_residual_computed_in_the_call(self, monkeypatch):
+        # the residual gate needs it, so it is computed before the return
+        calls = []
+        original = inverse.spectrum_numeric
+        monkeypatch.setattr(inverse, "spectrum_numeric", lambda m: calls.append(m) or original(m))
+        sol = invert_complete((6.0, 3.0, 2.0))
+        assert len(calls) == 1
+        assert sol.residual <= 1e-8
+        assert len(calls) == 1
+
     def test_larger_orders(self):
         rng = np.random.default_rng(29)
         for n in range(1, 11):

@@ -73,6 +73,12 @@ class TestSpectrumNumeric:
         with pytest.raises(ValueError):
             spectrum_numeric(m)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN used to raise "matrix is not symmetric"
+        with pytest.raises(ValueError, match=r"non-finite entry .* in matrix 0 at \[0, 0\]"):
+            spectrum_numeric([[bad, 1.0], [1.0, 0.0]])
+
     def test_matches_numpy_eigvalsh(self):
         rng = np.random.default_rng(31)
         for n in (2, 3, 4, 6, 9):
@@ -97,6 +103,14 @@ class TestJacobiSpectra:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             jacobi_spectra(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # [[inf, 1], [1, 0]] used to come back as the spectrum [0, inf]
+        mats = np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])
+        mats[1, 1, 0] = mats[1, 0, 1] = bad
+        with pytest.raises(ValueError, match=r"non-finite entry .* in matrix 1 at \[0, 1\]"):
+            jacobi_spectra(mats)
 
     def test_laplacian_zero_eigenvalue(self):
         rng = np.random.default_rng(41)
