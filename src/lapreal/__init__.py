@@ -7,14 +7,13 @@ four-vertex topologies (star, cycle, path, kite, K4) and complete graphs.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .cubic import (
     CubicCoeffs,
     NoThreeRealRoots,
     _float_weights,
+    _spectrum_roots,
     laplacian_cubic_roots,
     reduced_cubic,
     solve_cubic_real,
@@ -105,21 +104,16 @@ __all__ = [
 def forward_spectrum(topology: Topology, weights) -> np.ndarray:
     """Full sorted Laplacian spectrum of a weighted topology.
 
-    Four-vertex graphs go through the closed-form cubic; complete graphs
-    use the Jacobi eigensolver.  When the largest weight is outside
-    [2**-60, 2**60], where the cubic's coefficients would overflow or
-    underflow, the weights are scaled into [0.5, 1) by an exact power of
-    two and the roots scaled back.
+    Four-vertex graphs go through the closed-form cubic, scaled by an
+    exact power of two where its coefficients would leave the float range;
+    complete graphs use the Jacobi eigensolver.
     """
     if topology.kind == "complete":
         spec = spectrum_numeric(build_laplacian(topology, weights))
         return np.where(np.abs(spec) <= OFFDIAG_TOL * np.abs(spec).max(), 0.0, spec)
     w = _float_weights(topology, weights)
-    big = max(w)
-    e = 0 if 2.0**-60 <= big <= 2.0**60 else math.frexp(big)[1]
-    roots = laplacian_cubic_roots(reduced_cubic(topology, [math.ldexp(v, -e) for v in w]))
     try:
-        roots = [math.ldexp(r, e) for r in roots]
+        roots = _spectrum_roots(topology.kind, w)
     except OverflowError:
         raise ValueError(f"spectrum of {topology.kind} weights {w} overflows the float range") from None
     return np.sort(np.concatenate(([0.0], roots)))

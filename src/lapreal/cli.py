@@ -13,27 +13,21 @@ import math
 import sys
 
 from . import forward_spectrum
-from .graphs import CYCLE4, KITE, PATH4, STAR, Topology, complete
+from .graphs import Topology, complete
 from .inverse import INVERTERS, NotRealizable, invert_complete, suspend_spectrum
 from .oracle import (
     GENERATOR_NAME,
     SamplerConfig,
     estimate_region_fraction,
 )
-from .realizability import CHECKS, check_complete
+from .realizability import CHECKS, _fmt, check_complete
 from .region import render_region
 
 GRAPH_NAMES = ("star", "cycle", "path", "kite", "k4", "kn")
 
-_FOUR_VERTEX = {"star": STAR, "cycle": CYCLE4, "path": PATH4, "kite": KITE}
-
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".9g")
 
 
 def _fmt_list(values) -> str:
@@ -50,25 +44,26 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     return values
 
 
-def _order_from_edge_count(count: int) -> int:
-    # invert count = n(n-1)/2
-    n = round((1.0 + math.sqrt(1.0 + 8.0 * count)) / 2.0)
-    if n * (n - 1) // 2 != count or n < 2:
-        raise UsageError(f"{count} weights do not match any complete graph K_n")
-    return n
-
-
-def _topology_for_weights(graph: str, weights) -> Topology:
-    if graph in _FOUR_VERTEX:
-        return _FOUR_VERTEX[graph]
+def _topology(graph: str, weights=()) -> Topology:
+    """The topology named ``graph``; kn takes its order n from its n(n-1)/2 weights."""
     if graph == "k4":
         return complete(4)
-    return complete(_order_from_edge_count(len(weights)))
+    if graph != "kn":
+        return Topology(graph)
+    n = round((1.0 + math.sqrt(1.0 + 8.0 * len(weights))) / 2.0)
+    if n * (n - 1) // 2 != len(weights) or n < 2:
+        raise UsageError(f"{len(weights)} weights do not match any complete graph K_n")
+    return complete(n)
+
+
+def _complete_order(graph: str, target) -> int:
+    # k4 fixes the order, kn takes it from the target's length
+    return 4 if graph == "k4" else len(target) + 1
 
 
 def _cmd_eigs(args) -> int:
     weights = _parse_floats(args.weights, "--weights")
-    topology = _topology_for_weights(args.graph, weights)
+    topology = _topology(args.graph, weights)
     try:
         spec = forward_spectrum(topology, weights)
     except ValueError as exc:
@@ -78,24 +73,15 @@ def _cmd_eigs(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    triple = _parse_floats(args.triple, "--triple")
-    try:
-        if args.graph in CHECKS:
-            verdict = CHECKS[args.graph](triple)
-        elif args.graph == "k4":
-            verdict = check_complete(triple, 4)
-        else:
-            verdict = check_complete(triple, len(triple) + 1)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    except OverflowError:
-        raise UsageError(f"{args.graph}: --triple {args.triple} overflows the float range")
-    print(f"graph={args.graph}")
-    print(f"realizable={'true' if verdict.realizable else 'false'}")
-    if verdict.certificate is not None:
-        print(f'certificate="{verdict.certificate.detail}"')
-    return 0
+def _check_records(graph: str, triple: list[float]) -> tuple[int, list[str]]:
+    """Exit status and records of a check."""
+    if graph in CHECKS:
+        verdict = CHECKS[graph](triple)
+    else:
+        verdict = check_complete(triple, _complete_order(graph, triple))
+    cert = verdict.certificate
+    realizable = "true" if verdict.realizable else "false"
+    return 0, [f"realizable={realizable}"] + ([f'certificate="{cert.detail}"'] if cert else [])
 
 
 def _invert_records(graph: str, triple: list[float]) -> tuple[int, list[str]]:
@@ -103,9 +89,8 @@ def _invert_records(graph: str, triple: list[float]) -> tuple[int, list[str]]:
     try:
         if graph in INVERTERS:
             solution = INVERTERS[graph](triple)
-        elif graph == "k4" and len(triple) != 3:
-            raise ValueError(f"K4 expects 3 target eigenvalues, got {len(triple)}")
         else:
+            check_complete(triple, _complete_order(graph, triple))
             solution = invert_complete(triple)
     except NotRealizable as exc:
         cert = exc.certificate
@@ -114,15 +99,16 @@ def _invert_records(graph: str, triple: list[float]) -> tuple[int, list[str]]:
     return 0, ["realizable=true", f"weights={weights}", f"residual={residual}"]
 
 
-def _cmd_invert(args) -> int:
+def _cmd_target(records, args) -> int:
+    """check and invert: print the ``records`` of --graph at --triple; bad input exits 2."""
     triple = _parse_floats(args.triple, "--triple")
     try:
-        status, records = _invert_records(args.graph, triple)
+        status, lines = records(args.graph, triple)
     except ValueError as exc:
         raise UsageError(str(exc))
     except OverflowError:
         raise UsageError(f"{args.graph}: --triple {args.triple} overflows the float range")
-    print(f"graph={args.graph}", *records, sep="\n")
+    print(f"graph={args.graph}", *lines, sep="\n")
     return status
 
 
@@ -147,12 +133,9 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_frac(args) -> int:
-    if args.graph in _FOUR_VERTEX:
-        topology = _FOUR_VERTEX[args.graph]
-    elif args.graph == "k4":
-        topology = complete(4)
-    else:
+    if args.graph == "kn":
         raise UsageError("frac supports star, cycle, path, kite and k4")
+    topology = _topology(args.graph)
     try:
         cfg = SamplerConfig(seed=args.seed, samples=args.samples)
         estimate = estimate_region_fraction(topology, cfg)
@@ -194,12 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="realizability verdict for a target")
     p_check.add_argument("--graph", required=True, choices=GRAPH_NAMES)
     p_check.add_argument("--triple", required=True)
-    p_check.set_defaults(func=_cmd_check)
+    p_check.set_defaults(func=functools.partial(_cmd_target, _check_records))
 
     p_invert = sub.add_parser("invert", help="construct weights for a target")
     p_invert.add_argument("--graph", required=True, choices=GRAPH_NAMES)
     p_invert.add_argument("--triple", required=True)
-    p_invert.set_defaults(func=_cmd_invert)
+    p_invert.set_defaults(func=functools.partial(_cmd_target, _invert_records))
 
     p_region = sub.add_parser("region", help="rasterize the realizability regions")
     p_region.add_argument("--resolution", required=True, type=int)

@@ -214,6 +214,19 @@ def _roots(p2, p1, p0, three=True, clamp=True):
     return r1, r2, r3
 
 
+def _spectrum_roots(kind: str, w) -> tuple[float, float, float]:
+    """Laplacian cubic roots of float weights ``w`` on a four-vertex ``kind``, ascending.
+
+    When the largest weight is outside [2**-60, 2**60], where the cubic's
+    coefficients would overflow or underflow, the weights are scaled into
+    [0.5, 1) by an exact power of two and the roots scaled back.
+    """
+    big = max(w)
+    e = 0 if 2.0**-60 <= big <= 2.0**60 else math.frexp(big)[1]
+    roots = _roots(*COEFFS[kind](*[math.ldexp(v, -e) for v in w]))
+    return tuple(math.ldexp(r, e) for r in roots)
+
+
 def cubic_real_roots(p2: float, p1: float, p0: float) -> list[float]:
     """All real roots of the monic cubic (one or three), ascending."""
     return _roots(p2, p1, p0, three=False)

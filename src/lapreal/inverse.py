@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import COEFFS, NoThreeRealRoots, _roots, cubic_discriminant, cubic_real_roots
+from .cubic import NoThreeRealRoots, _roots, _spectrum_roots, cubic_discriminant, cubic_real_roots
 from .graphs import COMPLETE_KIND, CYCLE4, KITE, PATH4, STAR, Topology, build_laplacian, complete
 from .jacobi import spectrum_numeric
-from .realizability import CHECKS, MASKS, Certificate, _validate_triple
+from .realizability import CHECKS, MASKS, Certificate, _validate_eigenvalues, _validate_triple
 
 #: clamp band for roundoff-negative weights and quadratic discriminants
 CLAMP_TOL = 1e-9
@@ -103,9 +103,9 @@ def _admitted(kind: str, target) -> tuple[float, float, float]:
 
 def _closed_form_residual(topology: Topology, weights, target) -> float:
     # the weights come from _clamp_nonneg, so they are already nonnegative
-    # floats of the right count and need no second validation; the kernel
-    # returns the roots ascending
-    g1, g2, g3 = _roots(*COEFFS[topology.kind](*weights))
+    # floats of the right count and need no second validation; the roots
+    # come back ascending, through the route forward_spectrum takes
+    g1, g2, g3 = _spectrum_roots(topology.kind, weights)
     w1, w2, w3 = sorted(target)
     return max(abs(g1 - w1), abs(g2 - w2), abs(g3 - w3))
 
@@ -293,19 +293,15 @@ def _complete_weight_matrix(lams_desc: list[float]) -> np.ndarray:
 
 def invert_complete(target) -> InverseSolution:
     """Realize any nonnegative n-tuple on K_{n+1} by nested suspensions."""
-    vals = [float(v) for v in target]
+    vals = _validate_eigenvalues(target)
     if not vals:
         raise ValueError("empty target")
-    if not all(math.isfinite(v) for v in vals):
-        raise ValueError(f"non-finite target eigenvalue in {vals}")
-    if any(v < 0 for v in vals):
-        raise ValueError(f"negative target eigenvalue in {vals}")
     lams_desc = sorted(vals, reverse=True)
     wmat = _complete_weight_matrix(lams_desc)
     n1 = len(vals) + 1
     topo = complete(n1)
     weights = tuple(float(wmat[i, j]) for i, j in topo.edges)
-    solution = InverseSolution(topo, weights, tuple(vals))
+    solution = InverseSolution(topo, weights, vals)
     if solution.residual > RESIDUAL_TOL * max(1.0, sum(vals)):
         raise InternalInfeasible(f"residual {solution.residual} above tolerance for K{n1}")
     return solution

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubic import reduced_cubic_batch, solve_cubic_real_batch
+from .cubic import ZERO_CLAMP, reduced_cubic_batch, solve_cubic_real_batch
 from .graphs import COMPLETE_KIND, Topology, build_laplacians
 from .inverse import INVERTERS, InternalInfeasible, NotRealizable, invert_complete
 from .jacobi import jacobi_spectra
@@ -107,7 +107,7 @@ def forward_triples(topology: Topology, weights: np.ndarray) -> np.ndarray:
     """Nonzero-slot spectra (batch, 3) via the closed-form cubic route."""
     p2, p1, p0 = reduced_cubic_batch(topology, weights)
     roots = solve_cubic_real_batch(p2, p1, p0)
-    return np.where((roots < 0.0) & (roots > -1e-9), 0.0, roots)
+    return np.where((roots < 0.0) & (roots > -ZERO_CLAMP), 0.0, roots)
 
 
 def sample_forward(topology: Topology, cfg: SamplerConfig, keep_failures: int = 10) -> ForwardReport:
@@ -170,16 +170,12 @@ def _roundtrip_four_vertex(topology: Topology, cfg: SamplerConfig) -> RoundtripR
     # forward roundoff, and would otherwise admit points genuinely outside
     # the region (unreachable at 1e-8) near the criteria's cusps
     mask = MASKS[topology.kind]
-
-    def mask_fn(x, y, z):
-        return mask(x, y, z, tol=0.0)
-
     invert = INVERTERS[topology.kind]
     block = max(cfg.samples, 10_000)
     triples = []
     for _ in range(500):
         x, y, z = sample_simplex(rng, block)
-        keep = np.flatnonzero(mask_fn(x, y, z))[: cfg.samples - len(triples)]
+        keep = np.flatnonzero(mask(x, y, z, tol=0.0))[: cfg.samples - len(triples)]
         # Python floats, so the scalar inverters make no numpy scalars
         triples.extend(zip(x[keep].tolist(), y[keep].tolist(), z[keep].tolist()))
         if len(triples) >= cfg.samples:

@@ -11,6 +11,10 @@ formula serves Python floats and numpy arrays alike: the scalar checks
 call them on the validated floats and get a Python ``bool``, while the
 Monte Carlo oracle and the region renderer call them on arrays.  They
 assume finite input; the checks reject NaN and inf before calling them.
+A mask and its check's certificate share one formula: the star product
+and the path's two sides are each written once, in a private helper
+that both call, and every ``check_*`` is built by ``_checker`` from its
+mask and certificate.
 """
 
 from __future__ import annotations
@@ -41,14 +45,6 @@ class Verdict:
     certificate: Optional[Certificate] = None
 
 
-def _spu(x, y, z):
-    # x^2 + y^2 + z^2, xy + xz + yz and x^2(y+z) + y^2(x+z) + z^2(x+y)
-    s = x * x + y * y + z * z
-    p = x * y + x * z + y * z
-    u = x * x * (y + z) + y * y * (x + z) + z * z * (x + y)
-    return s, p, u
-
-
 def _fmt(v: float) -> str:
     return format(float(v), ".9g")
 
@@ -65,13 +61,39 @@ def _validate_triple(values) -> tuple[float, float, float]:
     return vals
 
 
-def star_mask(x, y, z, tol: float = BOUNDARY_TOL):
-    """Star criterion: the discriminant triple product is nonpositive."""
-    total = x + y + z
+def _validate_eigenvalues(values) -> tuple[float, ...]:
+    """Any number of target eigenvalues as floats; NaN, inf or a negative entry raises."""
+    vals = tuple(map(float, values))
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"non-finite target eigenvalue in {vals}")
+    if any(v < 0 for v in vals):
+        raise ValueError(f"negative target eigenvalue in {vals}")
+    return vals
+
+
+def _star_product(x, y, z):
+    # the discriminant triple product f1 * f2 * f3
     f1 = 6 * x * x - 2 * x * y - 2 * x * z + y * z
     f2 = 6 * y * y - 2 * x * y - 2 * y * z + x * z
     f3 = 6 * z * z - 2 * x * z - 2 * y * z + x * y
-    return f1 * f2 * f3 <= tol * total**6
+    return f1 * f2 * f3
+
+
+def _path_sides(x, y, z):
+    # the squared cubic and its bound; the path needs square <= bound.
+    # s, p, u: x^2 + y^2 + z^2, xy + xz + yz and x^2(y+z) + y^2(x+z) + z^2(x+y)
+    s = x * x + y * y + z * z
+    p = x * y + x * z + y * z
+    u = x * x * (y + z) + y * y * (x + z) + z * z * (x + y)
+    lhs = 9 * (x**3 + y**3 + z**3) - 13 * u + 62 * x * y * z
+    rhs = (3 * s - 2 * p) ** 2 * (9 * s - 14 * p)
+    return lhs * lhs, rhs
+
+
+def star_mask(x, y, z, tol: float = BOUNDARY_TOL):
+    """Star criterion: the discriminant triple product is nonpositive."""
+    total = x + y + z
+    return _star_product(x, y, z) <= tol * total**6
 
 
 def cycle_mask(x, y, z, tol: float = BOUNDARY_TOL):
@@ -84,10 +106,8 @@ def cycle_mask(x, y, z, tol: float = BOUNDARY_TOL):
 def path_mask(x, y, z, tol: float = BOUNDARY_TOL):
     """Path criterion: cycle condition plus the squared-cubic inequality."""
     total = x + y + z
-    s, p, u = _spu(x, y, z)
-    lhs = 9 * (x**3 + y**3 + z**3) - 13 * u + 62 * x * y * z
-    rhs = (3 * s - 2 * p) ** 2 * (9 * s - 14 * p)
-    return cycle_mask(x, y, z, tol) & (lhs * lhs <= rhs + tol * total**6)
+    square, bound = _path_sides(x, y, z)
+    return cycle_mask(x, y, z, tol) & (square <= bound + tol * total**6)
 
 
 def kite_mask(x, y, z, tol: float = BOUNDARY_TOL):
@@ -115,87 +135,66 @@ MASKS = {
 }
 
 
-def check_star(target) -> Verdict:
-    x, y, z = _validate_triple(target)
-    if star_mask(x, y, z):
-        return Verdict(True)
-    f1 = 6 * x * x - 2 * x * y - 2 * x * z + y * z
-    f2 = 6 * y * y - 2 * x * y - 2 * y * z + x * z
-    f3 = 6 * z * z - 2 * x * z - 2 * y * z + x * y
-    prod = f1 * f2 * f3
-    return Verdict(
-        False,
-        Certificate(
-            "star-discriminant-product",
-            prod,
-            f"discriminant product > 0 ({_fmt(prod)})",
-        ),
-    )
+def _star_certificate(x, y, z) -> Certificate:
+    prod = _star_product(x, y, z)
+    detail = f"discriminant product > 0 ({_fmt(prod)})"
+    return Certificate("star-discriminant-product", prod, detail)
 
 
-def check_cycle(target) -> Verdict:
-    x, y, z = _validate_triple(target)
-    if cycle_mask(x, y, z):
-        return Verdict(True)
+def _cycle_certificate(x, y, z) -> Certificate:
     biggest = max(x, y, z)
     half = 0.5 * (x + y + z)
-    return Verdict(
-        False,
-        Certificate(
-            "cycle-max-halfsum",
-            half - biggest,
-            f"max < half-sum ({_fmt(biggest)} < {_fmt(half)})",
-        ),
-    )
+    detail = f"max < half-sum ({_fmt(biggest)} < {_fmt(half)})"
+    return Certificate("cycle-max-halfsum", half - biggest, detail)
 
 
-def check_path(target) -> Verdict:
-    x, y, z = _validate_triple(target)
-    cycle_verdict = check_cycle((x, y, z))
-    if not cycle_verdict.realizable:
-        return cycle_verdict
-    if path_mask(x, y, z):
-        return Verdict(True)
-    s, p, u = _spu(x, y, z)
-    lhs = 9 * (x**3 + y**3 + z**3) - 13 * u + 62 * x * y * z
-    rhs = (3 * s - 2 * p) ** 2 * (9 * s - 14 * p)
-    excess = lhs * lhs - rhs
-    return Verdict(
-        False,
-        Certificate(
-            "path-squared-cubic",
-            excess,
-            f"squared cubic bound exceeded by {_fmt(excess)}",
-        ),
-    )
+def _path_certificate(x, y, z) -> Certificate:
+    if not cycle_mask(x, y, z):
+        return _cycle_certificate(x, y, z)
+    square, bound = _path_sides(x, y, z)
+    excess = square - bound
+    detail = f"squared cubic bound exceeded by {_fmt(excess)}"
+    return Certificate("path-squared-cubic", excess, detail)
 
 
-def check_kite(target) -> Verdict:
-    x, y, z = _validate_triple(target)
-    if kite_mask(x, y, z):
-        return Verdict(True)
+def _kite_certificate(x, y, z) -> Certificate:
     lo, _, hi = sorted((x, y, z))
     gap = SQRT3 * (hi - lo) - (hi + lo)
-    return Verdict(
-        False,
-        Certificate(
-            "kite-pair-gap",
-            gap,
-            f"sqrt(3)*(max-min) < max+min ({_fmt(SQRT3 * (hi - lo))} < {_fmt(hi + lo)})",
-        ),
-    )
+    detail = f"sqrt(3)*(max-min) < max+min ({_fmt(SQRT3 * (hi - lo))} < {_fmt(hi + lo)})"
+    return Certificate("kite-pair-gap", gap, detail)
+
+
+def _checker(name, mask, certificate):
+    """Check ``name``: validate once, run ``mask``, build ``certificate`` only on rejection."""
+
+    def check(target) -> Verdict:
+        x, y, z = _validate_triple(target)
+        if mask(x, y, z):
+            return Verdict(True)
+        return Verdict(False, certificate(x, y, z))
+
+    check.__name__ = check.__qualname__ = name
+    return check
+
+
+check_star = _checker("check_star", star_mask, _star_certificate)
+check_cycle = _checker("check_cycle", cycle_mask, _cycle_certificate)
+# the cycle condition first: a triple that fails it skips the squared cubic,
+# which overflows at scales where the cycle condition alone decides
+check_path = _checker(
+    "check_path", lambda x, y, z: cycle_mask(x, y, z) and path_mask(x, y, z), _path_certificate
+)
+check_kite = _checker("check_kite", kite_mask, _kite_certificate)
 
 
 def check_complete(target, n_plus_1: int) -> Verdict:
-    vals = tuple(float(v) for v in target)
+    vals = _validate_eigenvalues(target)
     if n_plus_1 < 2:
         raise ValueError(f"complete graph needs at least 2 vertices, got {n_plus_1}")
     if len(vals) != n_plus_1 - 1:
         raise ValueError(
             f"K_{n_plus_1} expects {n_plus_1 - 1} target eigenvalues, got {len(vals)}"
         )
-    if any(v < 0 for v in vals):
-        raise ValueError(f"negative target eigenvalue in {vals}")
     return Verdict(True)
 
 

@@ -18,13 +18,8 @@ from .realizability import MASKS
 
 PANEL_ORDER = ("star", "cycle", "path", "kite", "k4")
 
-_TITLES = {
-    "star": "star",
-    "cycle": "cycle",
-    "path": "path",
-    "kite": "kite",
-    "k4": "K4",
-}
+#: panel titles that differ from the panel's name
+_TITLES = {"k4": "K4"}
 
 GRAY = "#808080"
 BLACK = "#000000"
@@ -58,25 +53,15 @@ def evaluate_grid(resolution: int, normalization: float = 1.0) -> RegionGrid:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     if not (math.isfinite(normalization) and normalization > 0):
         raise ValueError(f"normalization must be positive and finite, got {normalization}")
-    rows = []
-    for i in range(resolution + 1):
-        j = np.arange(resolution - i + 1)
-        block = np.empty((j.size, 3), dtype=int)
-        block[:, 0] = i
-        block[:, 1] = j
-        block[:, 2] = resolution - i - j
-        rows.append(block)
-    bary = np.concatenate(rows)
-    scale = normalization / resolution
+    # lattice points (i, j, resolution - i - j) by i, then j; k = i + j
+    i, k = np.triu_indices(resolution + 1)
+    bary = np.column_stack([i, k - i, resolution - k])
+    # the criteria are homogeneous: evaluated on the unit simplex, the
+    # masks cannot overflow or underflow at any normalization
+    scale = 1.0 / resolution
     x, y, z = bary[:, 0] * scale, bary[:, 1] * scale, bary[:, 2] * scale
     masks = np.column_stack(
-        [
-            MASKS["star"](x, y, z),
-            MASKS["cycle"](x, y, z),
-            MASKS["path"](x, y, z),
-            MASKS["kite"](x, y, z),
-            MASKS["complete"](x, y, z),
-        ]
+        [MASKS["complete" if name == "k4" else name](x, y, z) for name in PANEL_ORDER]
     )
     return RegionGrid(resolution, normalization, bary, masks)
 
@@ -199,7 +184,7 @@ def write_svg(grid: RegionGrid, path: str) -> None:
         parts.append("</g>")
         parts.append(
             f'<text x="{cx:.1f}" y="{panel_h - 8:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{_TITLES[name]}</text>'
+            f'font-family="sans-serif" font-size="16">{_TITLES.get(name, name)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -272,16 +272,20 @@ class TestNonFiniteInput:
 
 
 class TestOutOfRangeTarget:
+    # (command, graph) at --triple 4e100,3e100,1e100; a case's id is its place
+    # here, so the cycle and kite rows, which invert now solves, keep the ids
+    # of the star and path rows stable
+    TARGETS = [("check", "star"), ("check", "path")] + [
+        ("invert", graph) for graph in ("star", "cycle", "path", "kite")
+    ]
+
     # each ended in an OverflowError traceback with exit 1, the not-realizable code
     @pytest.mark.parametrize(
         "argv",
         [
-            ("check", "--graph", "star", "--triple", "4e100,3e100,1e100"),
-            ("check", "--graph", "path", "--triple", "4e100,3e100,1e100"),
-        ]
-        + [
-            ("invert", "--graph", graph, "--triple", "4e100,3e100,1e100")
-            for graph in ("star", "cycle", "path", "kite")
+            pytest.param((cmd, "--graph", graph, "--triple", "4e100,3e100,1e100"), id=f"argv{i}")
+            for i, (cmd, graph) in enumerate(TARGETS)
+            if graph in ("star", "path")
         ],
     )
     def test_usage_error(self, capsys, argv):
@@ -290,3 +294,16 @@ class TestOutOfRangeTarget:
         assert out == ""
         assert "error:" in err
         assert "float range" in err
+
+    @pytest.mark.parametrize("graph", ["cycle", "kite"])
+    def test_invert_agrees_with_check(self, capsys, graph):
+        # the residual's cubic overflowed at these weights, so invert exited
+        # 2 while check printed realizable=true
+        triple = "4e100,3e100,1e100"
+        _, checked, _ = run(capsys, "check", "--graph", graph, "--triple", triple)
+        assert "realizable=true" in checked
+        code, out, err = run(capsys, "invert", "--graph", graph, "--triple", triple)
+        assert (code, err) == (0, "")
+        records = dict(line.split("=", 1) for line in out.splitlines())
+        assert records["realizable"] == "true"
+        assert float(records["residual"]) <= 1e-8 * 8e100

@@ -22,7 +22,7 @@ from lapreal.cubic import (
     solve_cubic_real,
 )
 from lapreal.graphs import CYCLE4, KITE, PATH4, STAR
-from lapreal import inverse
+from lapreal import forward_spectrum, inverse
 from lapreal.inverse import INVERTERS, NotRealizable
 from lapreal.oracle import SamplerConfig, roundtrip_suite
 from lapreal.realizability import CHECKS
@@ -286,6 +286,27 @@ def test_residual_computed_once_on_first_read(monkeypatch, kind):
     assert len(calls) == 1
     want = inverse._closed_form_residual(sol.topology, sol.weights, target)
     assert first.hex() == second.hex() == want.hex()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_residual_takes_the_forward_route(kind):
+    targets = [t for t in golden_targets(kind)[:100] if CHECKS[kind](t).realizable]
+    assert targets
+    for target in targets:
+        sol = INVERTERS[kind](target)
+        spectrum = forward_spectrum(sol.topology, sol.weights)
+        want = float(np.max(np.abs(spectrum[1:] - sorted(target))))
+        assert sol.residual.hex() == want.hex()
+
+
+@pytest.mark.parametrize("kind", ["cycle", "kite"])
+@pytest.mark.parametrize("scale", [1e-150, 1e100, 1e150])
+def test_residual_at_extreme_scales(kind, scale):
+    # the residual solved its own unscaled cubic, which overflowed (1e100,
+    # 1e150) or divided by an underflowed zero (1e-150)
+    target = (4.0 * scale, 3.0 * scale, 1.0 * scale)
+    assert CHECKS[kind](target).realizable
+    assert INVERTERS[kind](target).residual <= 1e-8 * sum(target)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -48,6 +48,9 @@ class TestEvaluateGrid:
         for res in (2, 5, 17):
             grid = evaluate_grid(res)
             assert grid.cell_count == (res + 1) * (res + 2) // 2
+            # lattice points by i, then j, as a nested loop enumerates them
+            want = [[i, j, res - i - j] for i in range(res + 1) for j in range(res - i + 1)]
+            assert grid.bary.tolist() == want
 
     def test_k4_column_all_true(self):
         grid = evaluate_grid(2)
@@ -77,9 +80,12 @@ class TestEvaluateGrid:
                 assert table[perm] == mask
 
     def test_normalization_does_not_change_masks(self):
+        # at 1e-60 and 1e60 the star and path masks used to flip hundreds of
+        # cells, because the sum's sixth power underflowed or overflowed
         a = evaluate_grid(40, normalization=1.0)
-        b = evaluate_grid(40, normalization=8.0)
-        np.testing.assert_array_equal(a.masks, b.masks)
+        for normalization in (8.0, 3.0, 1e-60, 1e60):
+            b = evaluate_grid(40, normalization=normalization)
+            np.testing.assert_array_equal(a.masks, b.masks, err_msg=f"{normalization}")
 
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
