@@ -54,8 +54,13 @@ def _validate_triple(values) -> tuple[float, float, float]:
     if len(vals) != 3:
         raise ValueError(f"expected a triple, got {len(vals)} entries")
     x, y, z = vals
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise ValueError(f"non-finite target eigenvalue in {vals}")
+    # one test catches NaN, inf and a sum past the float range, which every
+    # criterion and solver forms
+    if not math.isfinite(x + y + z):
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"non-finite target eigenvalue in {vals}")
+        if min(vals) >= 0:
+            raise ValueError(f"target eigenvalue sum overflows the float range in {vals}")
     if x < 0 or y < 0 or z < 0:
         raise ValueError(f"negative target eigenvalue in {vals}")
     return vals

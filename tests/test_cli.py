@@ -271,6 +271,18 @@ class TestNonFiniteInput:
         assert out == ""
 
 
+class TestOverflowingSum:
+    # check --graph cycle printed realizable=false with an inf in the
+    # certificate, and invert --graph cycle|kite ended in a ZeroDivisionError
+    # traceback with exit 1
+    @pytest.mark.parametrize("command", ["check", "invert"])
+    @pytest.mark.parametrize("graph", ["star", "cycle", "path", "kite"])
+    def test_usage_error(self, capsys, command, graph):
+        code, out, err = run(capsys, command, "--graph", graph, "--triple", "1.5e308,1e308,4e307")
+        assert (code, out) == (2, "")
+        assert "error: target eigenvalue sum overflows the float range" in err
+
+
 class TestOutOfRangeTarget:
     # (command, graph) at --triple 4e100,3e100,1e100; a case's id is its place
     # here, so the cycle and kite rows, which invert now solves, keep the ids

@@ -38,6 +38,13 @@ def test_non_finite_target_rejected(invert, bad):
         invert((bad, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("invert", [invert_star, invert_cycle, invert_path, invert_kite])
+def test_overflowing_sum_rejected(invert):
+    # invert_kite and invert_cycle ended in a ZeroDivisionError here
+    with pytest.raises(ValueError, match="sum overflows"):
+        invert((1.5e308, 1e308, 4e307))
+
+
 class TestInvertStar:
     def test_golden_boundary_triple(self):
         sol = invert_star((1.0, 1.0, 4.0))

@@ -7,7 +7,9 @@ import pytest
 
 from lapreal import forward_spectrum
 from lapreal.graphs import CYCLE4, STAR, build_laplacian, build_laplacians, complete
+from lapreal import jacobi
 from lapreal.jacobi import (
+    FLOAT_SWEEP_MAX_ORDER,
     JacobiNonConvergence,
     _round_robin,
     jacobi_spectra,
@@ -72,6 +74,19 @@ class TestSpectrumNumeric:
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             spectrum_numeric(m)
+
+    @pytest.mark.parametrize("exponent", range(0, -151, -15))
+    def test_rejects_asymmetric_at_any_scale(self, exponent):
+        # the tolerance had an absolute floor of 1e-12, so below that scale
+        # [[2, 1], [0, 3]] passed and came back as [1.83, 3.17] * scale
+        scale = 10.0**exponent
+        with pytest.raises(ValueError, match="not symmetric"):
+            spectrum_numeric(np.array([[2.0, 1.0], [0.0, 3.0]]) * scale)
+        with pytest.raises(ValueError, match="not symmetric"):
+            spectrum_numeric(np.array([[0.0, 1.0], [0.0, 0.0]]) * scale)
+        m = np.array([[2.0, 1.0], [1.0, 3.0]]) * scale
+        m[0, 1] *= 1.0 + 1e-14  # roundoff-level asymmetry still passes
+        np.testing.assert_allclose(spectrum_numeric(m), np.linalg.eigvalsh(m), rtol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
@@ -164,6 +179,80 @@ class TestJacobiSpectra:
         # unrotated diagonal (the vertex degrees) came back as the spectrum
         lap = build_laplacian(complete(4), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]) * 1e160
         assert relative_error(spectrum_numeric(lap), np.linalg.eigvalsh(lap)) <= 1e-12
+
+
+def assert_same_bits(m):
+    # m alone takes the float sweep, m as half of a stack the array sweep
+    single, stacked = jacobi_spectra(m[None])[0], jacobi_spectra(np.stack([m, m]))[0]
+    assert single.tobytes() == stacked.tobytes(), (single, stacked)
+
+
+ORDERS = range(1, FLOAT_SWEEP_MAX_ORDER + 2)
+
+
+class TestFloatSweepParity:
+    def test_single_small_matrix_takes_the_float_sweep(self, monkeypatch):
+        def no_stack_sweep(*args):
+            raise AssertionError("array sweep")
+
+        monkeypatch.setattr(jacobi, "_sweep_stack", no_stack_sweep)
+        for n in range(1, FLOAT_SWEEP_MAX_ORDER + 1):
+            jacobi_spectra(np.eye(n)[None] + 1.0)
+        above = FLOAT_SWEEP_MAX_ORDER + 1
+        for mats in (np.ones((1, above, above)), np.ones((2, 3, 3))):
+            with pytest.raises(AssertionError, match="array sweep"):
+                jacobi_spectra(mats)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_random_with_signed_zeros(self, n):
+        rng = np.random.default_rng(67 + n)
+        for exponent in range(-150, 151, 25):
+            a = rng.standard_normal((n, n))
+            a[rng.random((n, n)) < 0.3] = 0.0
+            a[rng.random((n, n)) < 0.1] = -0.0
+            assert_same_bits((np.triu(a) + np.triu(a, 1).T) * 10.0**exponent)
+
+    @pytest.mark.parametrize("n", range(2, FLOAT_SWEEP_MAX_ORDER + 2))
+    def test_complete_laplacians(self, n):
+        topo = complete(n)
+        rng = np.random.default_rng(71 + n)
+        assert_same_bits(build_laplacian(topo, np.ones(topo.edge_count)))
+        for _ in range(5):
+            weights = rng.uniform(0.0, 4.0, topo.edge_count)
+            weights[rng.uniform(size=weights.size) < 0.5] = 0.0
+            assert_same_bits(build_laplacian(topo, weights))
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_diagonal_and_zero(self, n):
+        rng = np.random.default_rng(73 + n)
+        assert_same_bits(np.diag(rng.standard_normal(n) * 10.0 ** rng.integers(-100, 100, n)))
+        assert_same_bits(np.zeros((n, n)))
+        assert_same_bits(-np.zeros((n, n)))
+
+    @pytest.mark.parametrize("max_sweeps", [1, 2, 3])
+    def test_same_sweep_limit(self, max_sweeps):
+        def outcome(mats):
+            try:
+                return jacobi_spectra(mats, max_sweeps=max_sweeps)[0].tobytes()
+            except JacobiNonConvergence:
+                return None
+
+        rng = np.random.default_rng(79)
+        converged = set()
+        for n in ORDERS:
+            a = rng.standard_normal((n, n))
+            m = a + a.T
+            single = outcome(m[None])
+            assert single == outcome(np.stack([m, m]))
+            converged.add(single is not None)
+        assert converged == {True, False}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_named(self, bad):
+        m = np.ones((5, 5))
+        m[2, 3] = m[3, 2] = bad
+        with pytest.raises(ValueError, match=r"non-finite entry .* in matrix 0 at \[2, 3\]"):
+            jacobi_spectra(m[None])
 
 
 class TestCompleteZeroEigenvalue:

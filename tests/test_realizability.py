@@ -59,6 +59,22 @@ def test_non_finite_triple_rejected(check, bad):
         check((bad, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("check", ALL_CHECKS)
+def test_overflowing_sum_rejected(check):
+    # the cycle criterion's sum overflowed to inf, so check_cycle said
+    # realizable=False with "max < half-sum (1.5e+308 < inf)"
+    with pytest.raises(ValueError, match="sum overflows"):
+        check((1.5e308, 1e308, 4e307))
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS)
+def test_overflowing_sum_keeps_entry_messages(check):
+    with pytest.raises(ValueError, match="negative"):
+        check((1.5e308, 1e308, -1.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        check((1.5e308, math.nan, -1.0))
+
+
 class TestCheckCycle:
     def test_half_sum_boundary(self):
         assert check_cycle((4.0, 2.0, 2.0)).realizable
