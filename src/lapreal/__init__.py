@@ -12,7 +12,6 @@ import numpy as np
 from .cubic import (
     CubicCoeffs,
     NoThreeRealRoots,
-    _float_weights,
     _spectrum_roots,
     laplacian_cubic_roots,
     reduced_cubic,
@@ -26,6 +25,7 @@ from .graphs import (
     Topology,
     build_laplacian,
     complete,
+    float_weights,
     scale_weights,
 )
 from .inverse import (
@@ -104,14 +104,13 @@ __all__ = [
 def forward_spectrum(topology: Topology, weights) -> np.ndarray:
     """Full sorted Laplacian spectrum of a weighted topology.
 
-    Four-vertex graphs go through the closed-form cubic, scaled by an
-    exact power of two where its coefficients would leave the float range;
-    complete graphs use the Jacobi eigensolver.
+    Four-vertex graphs go through the closed-form cubic, complete graphs
+    through the Jacobi eigensolver; both scale by ``graphs.unit_scaled``.
     """
     if topology.kind == "complete":
         spec = spectrum_numeric(build_laplacian(topology, weights))
         return np.where(np.abs(spec) <= OFFDIAG_TOL * np.abs(spec).max(), 0.0, spec)
-    w = _float_weights(topology, weights)
+    w = float_weights(topology, weights)
     try:
         roots = _spectrum_roots(topology.kind, w)
     except OverflowError:

@@ -106,8 +106,6 @@ def _cmd_target(records, args) -> int:
         status, lines = records(args.graph, triple)
     except ValueError as exc:
         raise UsageError(str(exc))
-    except OverflowError:
-        raise UsageError(f"{args.graph}: --triple {args.triple} overflows the float range")
     print(f"graph={args.graph}", *lines, sep="\n")
     return status
 

@@ -20,13 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (
-    CYCLE_KIND,
-    KITE_KIND,
-    PATH_KIND,
-    STAR_KIND,
-    Topology,
-)
+from .graphs import CYCLE_KIND, KITE_KIND, PATH_KIND, STAR_KIND, Topology
+from .graphs import float_weights, unit_scaled
 
 #: relative scale for the negative-discriminant rejection band
 DISC_TOL = 1e-9
@@ -84,32 +79,12 @@ COEFFS = {
 }
 
 
-def _float_weights(topology: Topology, weights) -> tuple[float, ...]:
-    """The weights as Python floats, checked as ``graphs.check_weights`` does."""
-    try:
-        w = tuple(map(float, weights))
-    except TypeError:
-        raise ValueError(f"expected a flat sequence of edge weights, got {weights!r}") from None
-    if len(w) != topology.edge_count:
-        raise ValueError(
-            f"{topology.kind} graph expects {topology.edge_count} weights, got {len(w)}"
-        )
-    for v in w:
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite edge weight {v} in {weights!r}")
-    if any(v < 0 for v in w):
-        raise ValueError(f"negative edge weight in {weights!r}")
-    return w
-
-
 def reduced_cubic(topology: Topology, weights) -> CubicCoeffs:
-    """Cubic whose roots are the three nonzero-slot eigenvalues.
+    """Cubic whose roots are the three nonzero-slot eigenvalues, in Python floats.
 
-    The weights are read as Python floats, so the coefficients are Python
-    floats too; count, finiteness and sign are checked as
-    ``graphs.check_weights`` does.
+    The weights are read and checked by ``graphs.float_weights``.
     """
-    w = _float_weights(topology, weights)
+    w = float_weights(topology, weights)
     coeffs = COEFFS.get(topology.kind)
     if coeffs is None:
         raise ValueError(
@@ -215,16 +190,10 @@ def _roots(p2, p1, p0, three=True, clamp=True):
 
 
 def _spectrum_roots(kind: str, w) -> tuple[float, float, float]:
-    """Laplacian cubic roots of float weights ``w`` on a four-vertex ``kind``, ascending.
-
-    When the largest weight is outside [2**-60, 2**60], where the cubic's
-    coefficients would overflow or underflow, the weights are scaled into
-    [0.5, 1) by an exact power of two and the roots scaled back.
-    """
-    big = max(w)
-    e = 0 if 2.0**-60 <= big <= 2.0**60 else math.frexp(big)[1]
-    roots = _roots(*COEFFS[kind](*[math.ldexp(v, -e) for v in w]))
-    return tuple(math.ldexp(r, e) for r in roots)
+    """Ascending Laplacian cubic roots of float weights ``w`` on ``kind``, via ``unit_scaled``."""
+    w, e = unit_scaled(w)
+    roots = _roots(*COEFFS[kind](*w))
+    return tuple(math.ldexp(r, e) for r in roots) if e else roots
 
 
 def cubic_real_roots(p2: float, p1: float, p0: float) -> list[float]:

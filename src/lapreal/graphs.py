@@ -13,6 +13,7 @@ graphs plus complete graphs K_n.  Edge-index conventions (vertices are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,20 +76,27 @@ def complete(n: int) -> Topology:
     return Topology(COMPLETE_KIND, n)
 
 
-def check_weights(topology: Topology, weights) -> np.ndarray:
-    """Validate a weight vector for ``topology`` and return it as an array."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (topology.edge_count,):
+def float_weights(topology: Topology, weights) -> tuple[float, ...]:
+    """The weights for ``topology`` as Python floats; a wrong count, NaN, inf or negative raises."""
+    try:
+        w = tuple(map(float, weights))
+    except TypeError:
+        raise ValueError(f"expected a flat sequence of edge weights, got {weights!r}") from None
+    if len(w) != topology.edge_count:
         raise ValueError(
-            f"{topology.kind} graph expects {topology.edge_count} weights, "
-            f"got shape {w.shape}"
+            f"{topology.kind} graph expects {topology.edge_count} weights, got {len(w)}"
         )
-    finite = np.isfinite(w)
-    if not finite.all():
-        raise ValueError(f"non-finite edge weight {w[~finite][0]} in {weights!r}")
-    if np.any(w < 0):
+    for v in w:
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite edge weight {v} in {weights!r}")
+    if any(v < 0 for v in w):
         raise ValueError(f"negative edge weight in {weights!r}")
     return w
+
+
+def check_weights(topology: Topology, weights) -> np.ndarray:
+    """Validate a weight vector for ``topology`` and return it as an array."""
+    return np.array(float_weights(topology, weights))
 
 
 def build_laplacian(topology: Topology, weights) -> np.ndarray:
@@ -97,7 +105,7 @@ def build_laplacian(topology: Topology, weights) -> np.ndarray:
     Rows sum to zero by construction; zero weights are allowed and act as
     deleted edges.
     """
-    w = check_weights(topology, weights)
+    w = float_weights(topology, weights)
     n = topology.order
     lap = np.zeros((n, n))
     for (i, j), wij in zip(topology.edges, w):
@@ -137,3 +145,19 @@ def scale_weights(weights, factor: float) -> np.ndarray:
     if factor <= 0:
         raise ValueError(f"scale factor must be positive, got {factor}")
     return np.asarray(weights, dtype=float) * factor
+
+
+#: magnitudes at which criteria, cubics and Jacobi sweeps take values as given
+UNIT_LOW, UNIT_HIGH = 2.0**-60, 2.0**60
+
+
+def unit_scaled(values) -> tuple[tuple[float, ...], int]:
+    """Nonnegative floats ``values`` times 2**-e, and ``e``: the one, exact, scale rule.
+
+    e = 0 if the largest value is 0 or in [UNIT_LOW, UNIT_HIGH], else its frexp exponent.
+    """
+    big = max(values)
+    if UNIT_LOW <= big <= UNIT_HIGH:
+        return values, 0
+    e = math.frexp(big)[1]
+    return tuple(math.ldexp(v, -e) for v in values), e

@@ -2,26 +2,26 @@
 
 Each solver follows the constructive existence proof for its topology.
 Cycle and kite work under the sum-8 normalization and rescale back; the
-path works with the raw sum 2f.  ``invert_complete`` realizes any
+path works with the sum 2f.  ``invert_complete`` realizes any
 nonnegative tuple on a complete graph through repeated suspensions.
 
-A four-vertex solver validates its target once and lets the topology's
-mask decide, the test that ``check_*`` applies to the same floats, so a
-check and an invert cannot disagree.  A solution's ``residual`` and a
-rejection's ``certificate`` are computed when first read, then cached.
+``_inverter`` builds each four-vertex solver: it validates and scales the
+target as ``check_*`` does and lets the topology's mask decide on the same
+floats, so a check and an invert cannot disagree.  A solution's ``residual``
+and a rejection's ``certificate`` are computed when first read, then cached.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cubic import NoThreeRealRoots, _roots, _spectrum_roots, cubic_discriminant, cubic_real_roots
 from .graphs import COMPLETE_KIND, CYCLE4, KITE, PATH4, STAR, Topology, build_laplacian, complete
+from .graphs import UNIT_HIGH, UNIT_LOW, unit_scaled
 from .jacobi import spectrum_numeric
 from .realizability import CHECKS, MASKS, Certificate, _validate_eigenvalues, _validate_triple
 
@@ -93,49 +93,56 @@ def _quad_roots(sigma: float, prod: float) -> tuple[float, float]:
     return (sigma + r) / 2.0, (sigma - r) / 2.0
 
 
-def _admitted(kind: str, target) -> tuple[float, float, float]:
-    """The validated target; outside the region, NotRealizable with the check's certificate."""
-    triple = _validate_triple(target)
-    if not MASKS[kind](*triple):
-        raise NotRealizable(kind=kind, triple=triple)
-    return triple
-
-
 def _closed_form_residual(topology: Topology, weights, target) -> float:
-    # the weights come from _clamp_nonneg, so they are already nonnegative
-    # floats of the right count and need no second validation; the roots
-    # come back ascending, through the route forward_spectrum takes
+    # the weights come from a construction, nonnegative floats of the right count
+    # that need no second validation; the roots come ascending, by forward_spectrum's route
     g1, g2, g3 = _spectrum_roots(topology.kind, weights)
     w1, w2, w3 = sorted(target)
     return max(abs(g1 - w1), abs(g2 - w2), abs(g3 - w3))
 
 
-def invert_star(target) -> InverseSolution:
+def _inverter(topology: Topology, construct):
+    """The inverse on ``topology``; ``construct`` gives the weights of a nonzero triple in range."""
+    kind, lo, hi = topology.kind, UNIT_LOW, UNIT_HIGH
+
+    def invert(target) -> InverseSolution:
+        triple = scaled = _validate_triple(target)
+        total, e = sum(triple), 0
+        if not lo <= total <= hi:
+            scaled, e = unit_scaled(triple)
+        if not MASKS[kind](*scaled):  # looked up per call, so a replaced entry decides
+            raise NotRealizable(kind=kind, triple=triple)
+        if not total:
+            return InverseSolution(topology, (0.0,) * topology.edge_count, triple)
+        weights = construct(scaled)
+        if e:
+            weights = tuple(math.ldexp(w, e) for w in weights)
+        return InverseSolution(topology, weights, triple)
+
+    invert.__name__ = invert.__qualname__ = f"invert_{kind}"
+    invert.__doc__ = construct.__doc__
+    return invert
+
+
+def _star_weights(triple) -> tuple[float, ...]:
     """Star weights are the roots of the length cubic
 
     L^3 - (1/2)(sum)L^2 + (1/3)(sum of pairs)L - (1/4)(product) = 0;
-    complex roots mean the target is not realizable.  Targets the star
-    check rejects are refused first: the cubic's roundoff band does not
-    scale with the target, and near the star boundary or at sums away
-    from 1 it would accept them with large residuals.
+    complex roots mean the target is not realizable.  The star mask decides
+    first: near its boundary the cubic's roundoff band accepts targets outside.
     """
-    x, y, z = _admitted("star", target)
+    x, y, z = triple
     coeffs = (-0.5 * (x + y + z), (x * y + x * z + y * z) / 3.0, -0.25 * x * y * z)
     try:
         roots = _roots(*coeffs, clamp=False)
     except NoThreeRealRoots:
-        raise NotRealizable(
-            Certificate(
-                "star-length-cubic",
-                cubic_discriminant(*coeffs),
-                "length cubic has complex roots",
-            )
-        ) from None
-    weights = tuple(_clamp_nonneg(roots, scale=x + y + z))
-    return InverseSolution(STAR, weights, (x, y, z))
+        disc = cubic_discriminant(*coeffs)
+        cert = Certificate("star-length-cubic", disc, "length cubic has complex roots")
+        raise NotRealizable(cert) from None
+    return tuple(_clamp_nonneg(roots, scale=x + y + z))
 
 
-def invert_cycle(target) -> InverseSolution:
+def _cycle_weights(triple) -> tuple[float, ...]:
     """Cycle construction under the sum-8 normalization.
 
     With the largest entry written as 4 + s and the smaller remaining entry
@@ -143,11 +150,7 @@ def invert_cycle(target) -> InverseSolution:
     weights are recovered from the quadratics u^2 - a*u + c and
     u^2 - (4-a)*u + d.
     """
-    triple = _admitted("cycle", target)
-    total = sum(triple)
-    if total == 0.0:
-        return InverseSolution(CYCLE4, (0.0, 0.0, 0.0, 0.0), triple)
-    factor = 8.0 / total
+    factor = 8.0 / sum(triple)
     lam = sorted(v * factor for v in triple)  # ascending
     s = lam[2] - 4.0
     t = lam[0]  # smaller remaining entry
@@ -162,24 +165,17 @@ def invert_cycle(target) -> InverseSolution:
     b = 4.0 - a
     l1, l3 = _quad_roots(a, c)
     l2, l4 = _quad_roots(b, d)
-    weights = tuple(
-        w / factor for w in _clamp_nonneg((l1, l2, l3, l4), scale=8.0)
-    )
-    return InverseSolution(CYCLE4, weights, triple)
+    return tuple(w / factor for w in _clamp_nonneg((l1, l2, l3, l4), scale=8.0))
 
 
-def invert_path(target) -> InverseSolution:
+def _path_weights(triple) -> tuple[float, ...]:
     """Path construction with eigenvalue sum 2f.
 
     The middle weight a solves a cubic and must fall in an explicit window;
     the outer weights come from u^2 - (f-a)*u + d.  The degenerate case
     with a zero entry uses a = 0 directly.
     """
-    triple = _admitted("path", target)
-    total = sum(triple)
-    if total == 0.0:
-        return InverseSolution(PATH4, (0.0, 0.0, 0.0), triple)
-    f = total / 2.0
+    f = sum(triple) / 2.0
     lam = sorted(triple)  # ascending
     s = lam[2] - f
     t = lam[1] - lam[0]  # nonnegative spread of the remaining pair
@@ -188,8 +184,7 @@ def invert_path(target) -> InverseSolution:
         # target is (f+s, 0, f-s) up to roundoff
         d = (f * f - s * s) / 4.0
         l2, l4 = _quad_roots(f, d)
-        weights = tuple(_clamp_nonneg((l2, 0.0, l4), scale=f))
-        return InverseSolution(PATH4, weights, triple)
+        return tuple(_clamp_nonneg((l2, 0.0, l4), scale=f))
     lin = 4.0 * (f * f - s * s) + (f - s) ** 2 - t * t
     const = (f + s) * ((f - s) ** 2 - t * t)
     roots = cubic_real_roots(-f, lin / 12.0, -const / 12.0)
@@ -207,11 +202,10 @@ def invert_path(target) -> InverseSolution:
     a = min(max(admissible), f)
     d = const / (16.0 * a)
     l2, l4 = _quad_roots(f - a, d)
-    weights = tuple(_clamp_nonneg((l2, a, l4), scale=f))
-    return InverseSolution(PATH4, weights, triple)
+    return tuple(_clamp_nonneg((l2, a, l4), scale=f))
 
 
-def invert_kite(target) -> InverseSolution:
+def _kite_weights(triple) -> tuple[float, ...]:
     """Kite construction under the sum-8 normalization.
 
     Sorting the target descending, the parameters are
@@ -219,11 +213,7 @@ def invert_kite(target) -> InverseSolution:
     R = sqrt((L1-L3)^2 - 2*L1*L3), and c = 4b - bd - (3/4)b^2; then
     l4 = d, l1 = 4 - b - d and l2, l3 solve u^2 - b*u + (c - b*l1).
     """
-    triple = _admitted("kite", target)
-    total = sum(triple)
-    if total == 0.0:
-        return InverseSolution(KITE, (0.0, 0.0, 0.0, 0.0), triple)
-    factor = 8.0 / total
+    factor = 8.0 / sum(triple)
     lam3, _, lam1 = sorted(v * factor for v in triple)
     rsq = (lam1 - lam3) ** 2 - 2.0 * lam1 * lam3
     if rsq < 0.0:
@@ -239,11 +229,13 @@ def invert_kite(target) -> InverseSolution:
     # with c = 4b - bd - (3/4)b^2 the product l2*l3 = c - b*l1 collapses to
     # (b/2)^2 exactly, so the two triangle weights are always equal
     l2 = l3 = b / 2.0
-    weights = tuple(
-        w / factor for w in _clamp_nonneg((l1, l2, l3, d), scale=8.0)
-    )
-    return InverseSolution(KITE, weights, triple)
+    return tuple(w / factor for w in _clamp_nonneg((l1, l2, l3, d), scale=8.0))
 
+
+invert_star = _inverter(STAR, _star_weights)
+invert_cycle = _inverter(CYCLE4, _cycle_weights)
+invert_path = _inverter(PATH4, _path_weights)
+invert_kite = _inverter(KITE, _kite_weights)
 
 INVERTERS = {
     "star": invert_star,

@@ -2,8 +2,8 @@
 
 Independent of the closed-form cubic route; the two are cross-checked in
 the test suite.  Each sweep is n - 1 steps (n for odd n) of n/2 disjoint
-rotations.  The convergence scale is the Frobenius norm of each matrix over
-its largest entry, times that entry, so it cannot overflow.
+rotations.  A matrix is scaled by ``graphs.unit_scaled``'s rule, so its
+Frobenius norm, the convergence scale, cannot overflow or underflow.
 
 Two sweeps run the same schedule.  A stack is held as one ``(n, n, batch)``
 array, so each entry is a contiguous batch vector and a step is ~40 numpy
@@ -22,6 +22,8 @@ import functools
 import math
 
 import numpy as np
+
+from .graphs import UNIT_HIGH, UNIT_LOW
 
 #: off-diagonal convergence threshold relative to the Frobenius norm
 OFFDIAG_TOL = 1e-12
@@ -63,16 +65,21 @@ def jacobi_spectra(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray
     if b.ndim != 3 or b.shape[1] != b.shape[2]:
         raise ValueError(f"expected (batch, n, n) stack, got shape {b.shape}")
     batch, n = b.shape[:2]
-    b = b.transpose(1, 2, 0).copy()
-    big = np.abs(b).max(axis=(0, 1), initial=0.0)
+    big = np.abs(b).max(axis=(1, 2), initial=0.0)
     if not np.isfinite(big).all():
-        i, j, k = np.argwhere(~np.isfinite(b))[0]
-        raise ValueError(f"non-finite entry {b[i, j, k]} in matrix {k} at [{i}, {j}]")
-    norms = big * np.linalg.norm(b / np.where(big > 0.0, big, 1.0), axis=(0, 1))
+        k, i, j = np.argwhere(~np.isfinite(b))[0]
+        raise ValueError(f"non-finite entry {b[k, i, j]} in matrix {k} at [{i}, {j}]")
+    e = np.where((UNIT_LOW <= big) & (big <= UNIT_HIGH), 0, np.frexp(big)[1])
+    b = np.ldexp(b.transpose(1, 2, 0), -e, order="C")
+    norms = np.linalg.norm(b, axis=(0, 1))
     if batch == 1 and n <= FLOAT_SWEEP_MAX_ORDER:
         diagonal = [_sweep_floats(b[:, :, 0].tolist(), float(OFFDIAG_TOL * norms[0]), max_sweeps)]
     else:
         diagonal = _sweep_stack(b, norms, max_sweeps)
+    with np.errstate(over="ignore"):
+        diagonal = np.ldexp(diagonal, e[:, None])
+    if not np.isfinite(diagonal).all():
+        raise ValueError("an eigenvalue overflows the float range")
     return np.sort(diagonal, axis=1)
 
 

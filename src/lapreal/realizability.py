@@ -2,9 +2,9 @@
 
 Each predicate decides whether a multiset of three nonnegative numbers is
 the nonzero part of the Laplacian spectrum of some nonnegative weighting.
-All criteria are homogeneous, so they are evaluated on the raw triple; a
-small boundary tolerance (scaled by the matching power of the sum) keeps
-forward-computed spectra that sit exactly on a region boundary inside.
+All criteria are homogeneous, so a check decides on the triple scaled by
+``graphs.unit_scaled``; a boundary tolerance (scaled by the matching power
+of the sum) keeps forward-computed spectra on a region boundary inside.
 
 The ``*_mask`` functions are written with operators only, so each
 formula serves Python floats and numpy arrays alike: the scalar checks
@@ -20,10 +20,12 @@ mask and certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+
+from .graphs import UNIT_HIGH, UNIT_LOW, unit_scaled
 
 BOUNDARY_TOL = 1e-9
 
@@ -67,12 +69,14 @@ def _validate_triple(values) -> tuple[float, float, float]:
 
 
 def _validate_eigenvalues(values) -> tuple[float, ...]:
-    """Any number of target eigenvalues as floats; NaN, inf or a negative entry raises."""
+    """Target eigenvalues as floats; NaN, inf, a negative entry or an overflowing sum raises."""
     vals = tuple(map(float, values))
     if not all(map(math.isfinite, vals)):
         raise ValueError(f"non-finite target eigenvalue in {vals}")
     if any(v < 0 for v in vals):
         raise ValueError(f"negative target eigenvalue in {vals}")
+    if not math.isfinite(sum(vals)):
+        raise ValueError(f"target eigenvalue sum overflows the float range in {vals}")
     return vals
 
 
@@ -170,13 +174,19 @@ def _kite_certificate(x, y, z) -> Certificate:
 
 
 def _checker(name, mask, certificate):
-    """Check ``name``: validate once, run ``mask``, build ``certificate`` only on rejection."""
+    """Check ``name``: validate and scale once, run ``mask``, build ``certificate`` on rejection."""
+    lo, hi = UNIT_LOW, UNIT_HIGH  # closure cells: cheaper per call than global lookups
 
     def check(target) -> Verdict:
         x, y, z = _validate_triple(target)
+        e = 0
+        # a sum in range costs one comparison; outside it, unit_scaled decides
+        if not lo <= x + y + z <= hi:
+            (x, y, z), e = unit_scaled((x, y, z))
         if mask(x, y, z):
             return Verdict(True)
-        return Verdict(False, certificate(x, y, z))
+        cert = certificate(x, y, z)
+        return Verdict(False, replace(cert, detail=f"{cert.detail} at scale 2**{-e}") if e else cert)
 
     check.__name__ = check.__qualname__ = name
     return check
@@ -184,8 +194,7 @@ def _checker(name, mask, certificate):
 
 check_star = _checker("check_star", star_mask, _star_certificate)
 check_cycle = _checker("check_cycle", cycle_mask, _cycle_certificate)
-# the cycle condition first: a triple that fails it skips the squared cubic,
-# which overflows at scales where the cycle condition alone decides
+# the cycle condition first, for speed: a triple that fails it skips the squared cubic
 check_path = _checker(
     "check_path", lambda x, y, z: cycle_mask(x, y, z) and path_mask(x, y, z), _path_certificate
 )

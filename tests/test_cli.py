@@ -1,6 +1,7 @@
 """Command-line interface: records, exit codes, file emission."""
 
 import hashlib
+import re
 
 import pytest
 
@@ -275,8 +276,9 @@ class TestOverflowingSum:
     # check --graph cycle printed realizable=false with an inf in the
     # certificate, and invert --graph cycle|kite ended in a ZeroDivisionError
     # traceback with exit 1
+    # k4 and kn printed realizable=true, invert with residual=5.5e+307
     @pytest.mark.parametrize("command", ["check", "invert"])
-    @pytest.mark.parametrize("graph", ["star", "cycle", "path", "kite"])
+    @pytest.mark.parametrize("graph", ["star", "cycle", "path", "kite", "k4", "kn"])
     def test_usage_error(self, capsys, command, graph):
         code, out, err = run(capsys, command, "--graph", graph, "--triple", "1.5e308,1e308,4e307")
         assert (code, out) == (2, "")
@@ -291,7 +293,7 @@ class TestOutOfRangeTarget:
         ("invert", graph) for graph in ("star", "cycle", "path", "kite")
     ]
 
-    # each ended in an OverflowError traceback with exit 1, the not-realizable code
+    # each ended in an OverflowError traceback, then in a usage error (exit 2)
     @pytest.mark.parametrize(
         "argv",
         [
@@ -300,12 +302,16 @@ class TestOutOfRangeTarget:
             if graph in ("star", "path")
         ],
     )
-    def test_usage_error(self, capsys, argv):
+    def test_verdict_of_the_unit_triple(self, capsys, argv):
         code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert "error:" in err
-        assert "float range" in err
+        unit_code, unit_out, _ = run(capsys, *argv[:-1], "4,3,1")
+        assert (code, err) == (unit_code, "")
+        got, want = (dict(line.split("=", 1) for line in text.splitlines()) for text in (out, unit_out))
+        assert got["realizable"] == want["realizable"] == "false"
+        # the same certificate, its numbers those of the triple scaled by 2**-335
+        name = re.compile(r"[^\d(]*")
+        assert name.match(got["certificate"])[0] == name.match(want["certificate"])[0]
+        assert got["certificate"].endswith(' at scale 2**-335"')
 
     @pytest.mark.parametrize("graph", ["cycle", "kite"])
     def test_invert_agrees_with_check(self, capsys, graph):
@@ -319,3 +325,25 @@ class TestOutOfRangeTarget:
         records = dict(line.split("=", 1) for line in out.splitlines())
         assert records["realizable"] == "true"
         assert float(records["residual"]) <= 1e-8 * 8e100
+
+
+class TestScaleFree:
+    # star at 1e-60 used to say realizable=true (total**6 underflowed), both
+    # inverts at 1e-150 printed realizable=true with a residual a sixth of the
+    # sum, and path at 1e100 exited 2 with "overflows the float range"
+    @pytest.mark.parametrize(
+        "command, graph, triple, unit",
+        [
+            ("check", "star", "1e-60,1e-60,1e-60", "1,1,1"),
+            ("invert", "star", "1e-150,2e-150,3e-150", "1,2,3"),
+            ("invert", "path", "1e-150,2e-150,3e-150", "1,2,3"),
+            ("check", "path", "1e100,2e100,3e100", "1,2,3"),
+            ("invert", "path", "1e100,2e100,3e100", "1,2,3"),
+        ],
+    )
+    def test_verdict_of_the_unit_triple(self, capsys, command, graph, triple, unit):
+        code, out, err = run(capsys, command, "--graph", graph, "--triple", triple)
+        unit_code, unit_out, _ = run(capsys, command, "--graph", graph, "--triple", unit)
+        assert (code, err) == (unit_code, "")
+        assert "realizable=false" in out.splitlines() and "realizable=false" in unit_out
+        assert code == (1 if command == "invert" else 0)

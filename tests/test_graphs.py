@@ -1,5 +1,7 @@
 """Topology definitions and Laplacian construction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from lapreal.graphs import (
     check_weights,
     complete,
     scale_weights,
+    unit_scaled,
 )
 
 ALL_FOUR = [STAR, CYCLE4, PATH4, KITE]
@@ -135,3 +138,16 @@ class TestScaleWeights:
         np.testing.assert_array_equal(
             scale_weights([1.0, 2.0], 2.0), [2.0, 4.0]
         )
+
+
+class TestUnitScaled:
+    def test_in_range_values_kept(self):
+        values = (2.0**-60, 0.0, 3.0)
+        assert unit_scaled(values) == (values, 0)
+        assert unit_scaled((0.0, 0.0, 0.0)) == ((0.0, 0.0, 0.0), 0)
+
+    @pytest.mark.parametrize("k", [-1000, -61, 61, 1000])
+    def test_out_of_range_scaled_exactly_into_half_one(self, k):
+        values = tuple(math.ldexp(v, k) for v in (0.75, 0.125, 0.0))
+        scaled, e = unit_scaled(values)
+        assert scaled == (0.75, 0.125, 0.0) and e == k

@@ -19,7 +19,7 @@ from lapreal.inverse import (
     suspend_spectrum,
 )
 from lapreal.jacobi import spectrum_numeric
-from lapreal.realizability import check_star
+from lapreal.realizability import CHECKS, check_star
 
 SQRT2 = math.sqrt(2.0)
 
@@ -43,6 +43,26 @@ def test_overflowing_sum_rejected(invert):
     # invert_kite and invert_cycle ended in a ZeroDivisionError here
     with pytest.raises(ValueError, match="sum overflows"):
         invert((1.5e308, 1e308, 4e307))
+
+
+@pytest.mark.parametrize("kind", ["star", "cycle", "path", "kite"])
+def test_power_of_two_scale_agrees_with_check(kind):
+    # at 2**k out of range the inverse decides and builds on the same scaled
+    # triple as the check, so it succeeds exactly when the check says realizable
+    check, invert = CHECKS[kind], inverse.INVERTERS[kind]
+    rng = np.random.default_rng([67, len(kind)])
+    u = np.sort(rng.random((500, 2)), axis=1)
+    triples = np.stack([u[:, 0], u[:, 1] - u[:, 0], 1.0 - u[:, 1]], axis=1).tolist()
+    for k in (-1000, -500, -200, -100, 100, 200, 500, 1000):
+        for triple in triples:
+            target = [math.ldexp(v, k) for v in triple]
+            try:
+                sol = invert(target)
+            except NotRealizable:
+                assert not check(target).realizable, (k, triple)
+                continue
+            assert check(target).realizable, (k, triple)
+            assert sol.residual <= 1e-8 * sum(target), (k, triple)
 
 
 class TestInvertStar:

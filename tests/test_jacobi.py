@@ -70,6 +70,30 @@ class TestSpectrumNumeric:
         spec = spectrum_numeric(np.diag([3.0, -1.0, 2.0]))
         np.testing.assert_array_equal(spec, [-1.0, 2.0, 3.0])
 
+    def test_entries_near_the_float_maximum(self):
+        # the Frobenius norm overflowed, the convergence threshold became inf
+        # and the unrotated diagonal [0, 0] came back
+        spec = spectrum_numeric(np.array([[0.0, 1.5e308], [1.5e308, 0.0]]))
+        np.testing.assert_allclose(spec, [-1.5e308, 1.5e308], rtol=1e-15)
+
+    def test_eigenvalue_past_the_float_range_raises(self):
+        # K3 with weights 8e307 has eigenvalue 2.4e308; the diagonal came back
+        with pytest.raises(ValueError, match="overflows the float range"):
+            spectrum_numeric(build_laplacian(complete(3), [8e307] * 3))
+
+    @pytest.mark.parametrize("k", [-1000, -500, -100, 100, 500, 1000])
+    def test_power_of_two_scale_is_exact(self, k):
+        # out of range each matrix is swept at the scale of its largest entry,
+        # so 2**k times a matrix gives 2**k times its spectrum, bit for bit
+        rng = np.random.default_rng(83)
+        for n in (3, 6, FLOAT_SWEEP_MAX_ORDER + 1):
+            m = symmetric_stack(rng, 1, n)[0]
+            m /= 2.0 * np.abs(m).max()  # largest entry 0.5
+            want = np.ldexp(spectrum_numeric(m), k)
+            assert spectrum_numeric(np.ldexp(m, k)).tobytes() == want.tobytes()
+            stack = jacobi_spectra(np.stack([m, np.ldexp(m, k)]))
+            assert np.ldexp(stack[0], k).tobytes() == stack[1].tobytes()
+
     def test_rejects_asymmetric(self):
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError):

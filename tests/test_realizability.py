@@ -22,6 +22,9 @@ from lapreal.realizability import (
 
 ALL_CHECKS = [check_star, check_cycle, check_path, check_kite]
 
+#: exponents k of the exact scales 2**k, out of range of graphs.unit_scaled
+POWERS = (-1000, -500, -200, -100, 100, 200, 500, 1000)
+
 # zero is a legal eigenvalue; subnormals are excluded because scaling them
 # underflows and flips boundary verdicts for reasons unrelated to the criteria
 nonneg = st.one_of(
@@ -160,7 +163,7 @@ class TestCheckComplete:
 
 class TestInvariance:
     @given(nonneg, nonneg, nonneg)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     def test_permutation_invariance(self, x, y, z):
         for check in ALL_CHECKS:
             verdicts = {
@@ -170,14 +173,30 @@ class TestInvariance:
 
     @given(
         nonneg, nonneg, nonneg,
-        st.sampled_from([0.1, 1.0, 7.0]),
+        st.sampled_from([0.1, 1.0, 7.0] + [2.0**k for k in POWERS]),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     def test_scale_invariance(self, x, y, z, t):
         triple = (x, y, z)
         scaled = (t * x, t * y, t * z)
         for check in ALL_CHECKS:
             assert check(triple).realizable == check(scaled).realizable
+
+    def test_power_of_two_scale_keeps_verdict_and_certificate(self):
+        rng = np.random.default_rng(61)
+        u = np.sort(rng.random((4000, 2)), axis=1)
+        triples = np.stack([u[:, 0], u[:, 1] - u[:, 0], 1.0 - u[:, 1]], axis=1).tolist()
+        for triple in triples:
+            wants = [check(triple) for check in ALL_CHECKS]
+            for k in POWERS:
+                scaled = [math.ldexp(v, k) for v in triple]
+                if [math.ldexp(v, -k) for v in scaled] != triple:
+                    continue  # an entry left the normal range
+                for check, want in zip(ALL_CHECKS, wants):
+                    got = check(scaled)
+                    assert got.realizable == want.realizable, (check.__name__, k, triple)
+                    if not want.realizable:
+                        assert got.certificate.name == want.certificate.name
 
     def test_inclusion_chain(self):
         rng = np.random.default_rng(47)
