@@ -72,7 +72,8 @@ def _clamp_nonneg(values, scale: float = 1.0):
     out = []
     band = CLAMP_TOL * max(1.0, scale)
     for v in values:
-        if v < 0.0:
+        # <= also turns -0.0 into 0.0, so no weight prints as "-0"
+        if v <= 0.0:
             if v < -band:
                 raise InternalInfeasible(f"negative weight {v} beyond clamp band")
             v = 0.0

@@ -12,8 +12,13 @@ is swept on Python floats instead: a numpy call costs microseconds however
 few entries it touches, while the float loop pays per entry, n^2 updates a
 step.  On single K_n Laplacians the float sweep is ~2.5x faster at n = 8,
 ~1.1x at n = 15 and ~1.1x slower at n = 16, the measured crossover.  It
-makes the same IEEE operations per entry in the same order, so both sweeps
-return the same bits for the same matrix.
+makes the same IEEE operations per entry in the same order, so a matrix swept
+alone and a stack of copies of it give the same bits.  A stack of different
+matrices is not bit-identical to sweeping each alone: every matrix keeps
+rotating until the slowest one has converged, and the extra rotations can
+move a near-zero eigenvalue by ~1e-22.  On 2500 seeded weightings of each
+four-vertex graph this moved the zero eigenvalue of 249-546 of them; the
+other three eigenvalues kept their bits.
 """
 
 from __future__ import annotations

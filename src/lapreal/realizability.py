@@ -48,7 +48,8 @@ class Verdict:
 
 
 def _fmt(v: float) -> str:
-    return format(float(v), ".9g")
+    # + 0.0 turns -0.0 into 0.0 and leaves every other value as it is
+    return format(float(v) + 0.0, ".9g")
 
 
 def _validate_triple(values) -> tuple[float, float, float]:

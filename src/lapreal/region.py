@@ -66,8 +66,13 @@ def evaluate_grid(resolution: int, normalization: float = 1.0) -> RegionGrid:
     return RegionGrid(resolution, normalization, bary, masks)
 
 
-# CSV bits of each packed mask code; the highest of its five bits is PANEL_ORDER[0]
-_BITS = [",".join(format(code, "05b")) for code in range(32)]
+#: cells gathered into one string and written at a time, so memory stays
+#: bounded at any resolution
+CSV_CHUNK = 8192
+
+# CSV bits of each packed mask code, ending its row; the highest of the
+# five bits is PANEL_ORDER[0]
+_BITS = np.array([",".join(format(code, "05b")) + "\n" for code in range(32)], dtype=object)
 
 
 def write_csv(grid: RegionGrid, path: str) -> None:
@@ -76,20 +81,17 @@ def write_csv(grid: RegionGrid, path: str) -> None:
     # every coordinate is bary * scale, exactly as coords() computes it,
     # so each of the res + 1 distinct values is formatted once
     values = (np.arange(res + 1) * (grid.normalization / res)).tolist()
-    labels = [format(v, ".9g") for v in values]
+    labels = np.array([format(v, ".9g") + "," for v in values], dtype=object)
     codes = np.packbits(grid.masks, axis=1)[:, 0] >> 3
-    chunk = res + 1  # rows formatted and written at a time
+    table = np.empty((CSV_CHUNK, 4), dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,z,star,cycle,path,kite,k4\n")
-        for start in range(0, grid.cell_count, chunk):
-            rows = grid.bary[start : start + chunk].tolist()
-            bits = codes[start : start + chunk].tolist()
-            fh.write(
-                "".join(
-                    f"{labels[i]},{labels[j]},{labels[k]},{_BITS[c]}\n"
-                    for (i, j, k), c in zip(rows, bits)
-                )
-            )
+        for start in range(0, grid.cell_count, CSV_CHUNK):
+            rows = table[: min(CSV_CHUNK, grid.cell_count - start)]
+            stop = start + len(rows)
+            rows[:, :3] = labels[grid.bary[start:stop]]
+            rows[:, 3] = _BITS[codes[start:stop]]
+            fh.write("".join(rows.ravel().tolist()))
 
 
 def _cartesian(i: int, j: int, k: int, res: int) -> tuple[float, float]:
@@ -100,52 +102,60 @@ def _cartesian(i: int, j: int, k: int, res: int) -> tuple[float, float]:
 
 def _row_runs(flags: np.ndarray) -> list[tuple[int, int, int]]:
     """Maximal runs of True in each row of a 2-D array as (row, start, stop), stop inclusive."""
-    padded = np.zeros((flags.shape[0], flags.shape[1] + 2), dtype=np.int8)
+    rows, cols = flags.shape
+    padded = np.zeros((rows, cols + 2), dtype=bool)
     padded[:, 1:-1] = flags
-    steps = np.diff(padded, axis=1)
-    rows, starts = np.nonzero(steps == 1)
-    stops = np.nonzero(steps == -1)[1] - 1
-    return list(zip(rows.tolist(), starts.tolist(), stops.tolist()))
+    # every padded row starts and ends False, so its changes pair up as
+    # (start, stop + 1) and the flat list of changes pairs up in order
+    row, col = np.divmod(np.flatnonzero(np.diff(padded, axis=1)), cols + 1)
+    return list(zip(row[::2].tolist(), col[::2].tolist(), (col[1::2] - 1).tolist()))
 
 
-def _panel_elements(grid: RegionGrid, column: np.ndarray) -> list[str]:
+def _panel_elements(grid: RegionGrid, columns: np.ndarray) -> list[list[str]]:
+    """The <rect> and <line> elements of one panel per column of a (cells, panels) mask."""
     res = grid.resolution
+    n = res + 1
     cell = 1.0 / res
     half_h = SQRT3 / (2.0 * res)
-    # tri[i, j] is the flag of lattice point (i, j, res - i - j); unset entries stay False
-    tri = np.zeros((res + 1, res + 1), dtype=bool)
-    tri[grid.bary[:, 0], grid.bary[:, 1]] = column
-    parts = []
-    # gray interior: one rectangle per run of realizable points in a row
-    for j, a, b in _row_runs(tri.T):
-        y = SQRT3 * j / res
-        x_hi, _ = _cartesian(a, j, res - j - a, res)
-        x_lo, _ = _cartesian(b, j, res - j - b, res)
-        parts.append(
-            f'<rect x="{x_lo - cell:.6f}" y="{y - half_h:.6f}" '
-            f'width="{(x_hi - x_lo) + 2 * cell:.6f}" height="{2 * half_h:.6f}" '
-            f'fill="{GRAY}"/>'
+    # flags[p, j, i] is panel p's flag of lattice point (i, j, res - i - j),
+    # so each lattice row is one row of the panel; unset entries stay False
+    flags = np.zeros((columns.shape[1], n, n), dtype=bool)
+    flags[:, grid.bary[:, 1], grid.bary[:, 0]] = columns.T
+    panels = [[] for _ in range(columns.shape[1])]
+    # gray interior: one rectangle per run of realizable points in a row.
+    # A run (j, a, b) starts at x = (res - j - 2b) / res - cell, so the x and
+    # y labels come from tables of the 2 res + 1 and res + 1 distinct values
+    xs = [f"{v:.6f}" for v in (np.arange(-res, res + 1) / res - cell).tolist()]
+    ys = [f"{v:.6f}" for v in (SQRT3 * np.arange(n) / res - half_h).tolist()]
+    height = f"{2 * half_h:.6f}"
+    for row, a, b in _row_runs(flags.reshape(-1, n)):
+        p, j = divmod(row, n)
+        width = (res - j - 2 * a) / res - (res - j - 2 * b) / res + 2 * cell
+        panels[p].append(
+            f'<rect x="{xs[2 * res - j - 2 * b]}" y="{ys[j]}" '
+            f'width="{width:.6f}" height="{height}" fill="{GRAY}"/>'
         )
     # black overlay: realizable points with some zero coordinate
-    width = 1.8 * cell
-    idx = np.arange(res + 1)
+    stroke = f"{1.8 * cell:.6f}"
+    idx = np.arange(n)
     # lattice point (i, j) at position t along each edge
     edge_points = (
         lambda t: (t, 0),  # bottom edge, y = 0
         lambda t: (0, t),  # left edge, x = 0
         lambda t: (res - t, t),  # right edge, z = 0
     )
-    edge_flags = np.stack([tri[:, 0], tri[0, :], tri[res - idx, idx]])
-    for edge, a, b in _row_runs(edge_flags):
+    edge_flags = np.stack([flags[:, 0, :], flags[:, :, 0], flags[:, idx, res - idx]], axis=1)
+    for row, a, b in _row_runs(edge_flags.reshape(-1, n)):
+        p, edge = divmod(row, len(edge_points))
         i0, j0 = edge_points[edge](a)
         i1, j1 = edge_points[edge](b)
         x0, y0 = _cartesian(i0, j0, res - i0 - j0, res)
         x1, y1 = _cartesian(i1, j1, res - i1 - j1, res)
-        parts.append(
+        panels[p].append(
             f'<line x1="{x0:.6f}" y1="{y0:.6f}" x2="{x1:.6f}" y2="{y1:.6f}" '
-            f'stroke="{BLACK}" stroke-width="{width:.6f}" stroke-linecap="round"/>'
+            f'stroke="{BLACK}" stroke-width="{stroke}" stroke-linecap="round"/>'
         )
-    return parts
+    return panels
 
 
 def write_svg(grid: RegionGrid, path: str) -> None:
@@ -167,7 +177,7 @@ def write_svg(grid: RegionGrid, path: str) -> None:
         "</defs>",
         f'<rect width="{total_w:.0f}" height="{panel_h:.0f}" fill="{WHITE}"/>',
     ]
-    for idx, name in enumerate(PANEL_ORDER):
+    for idx, (name, elements) in enumerate(zip(PANEL_ORDER, _panel_elements(grid, grid.masks))):
         cx = panel_w * idx + panel_w / 2.0
         base_y = panel_h - 0.25 * scale
         parts.append(
@@ -176,7 +186,7 @@ def write_svg(grid: RegionGrid, path: str) -> None:
         )
         parts.append(f'<polygon points="{tri}" fill="{WHITE}"/>')
         parts.append('<g clip-path="url(#tri)">')
-        parts.extend(_panel_elements(grid, grid.column(name)))
+        parts.extend(elements)
         parts.append("</g>")
         parts.append(
             f'<polygon points="{tri}" fill="none" stroke="{BLACK}" stroke-width="0.012"/>'

@@ -20,6 +20,12 @@ class TestEigs:
         assert code == 0
         assert "spectrum=[0,1,1,4]" in out
 
+    def test_zero_eigenvalues_print_without_sign(self, capsys):
+        # used to print spectrum=[0,-0,-0,2]
+        code, out, _ = run(capsys, "eigs", "--graph", "star", "--weights", "0,0,1")
+        assert code == 0
+        assert "spectrum=[0,0,0,2]" in out
+
     def test_unit_k4(self, capsys):
         code, out, _ = run(capsys, "eigs", "--graph", "k4", "--weights", "1,1,1,1,1,1")
         assert code == 0
@@ -96,6 +102,12 @@ class TestInvert:
         assert code == 0
         assert "realizable=true" in out
         assert "weights=[1.16666667,0.666666667,0.666666667,1.5]" in out
+
+    def test_zero_weights_print_without_sign(self, capsys):
+        # used to print weights=[-0,-0,0.5]
+        code, out, _ = run(capsys, "invert", "--graph", "star", "--triple", "1,0,0")
+        assert code == 0
+        assert "weights=[0,0,0.5]" in out
 
     def test_not_realizable_exit_code(self, capsys):
         code, out, _ = run(capsys, "invert", "--graph", "star", "--triple", "1,1,1")

@@ -75,6 +75,11 @@ class TestInvertStar:
         sol = invert_star((0.0, 0.0, 0.0))
         assert sol.weights == (0.0, 0.0, 0.0)
 
+    def test_zero_weights_are_positive_zero(self):
+        # the length cubic's zero roots used to come back as -0.0
+        sol = invert_star((1.0, 0.0, 0.0))
+        assert all(math.copysign(1.0, w) > 0 for w in sol.weights)
+
     def test_equal_triple_rejected(self):
         with pytest.raises(NotRealizable):
             invert_star((1.0, 1.0, 1.0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lapreal import forward_spectrum
-from lapreal.graphs import CYCLE4, STAR, build_laplacian, build_laplacians, complete
+from lapreal.graphs import CYCLE4, KITE, PATH4, STAR, build_laplacian, build_laplacians, complete
 from lapreal import jacobi
 from lapreal.jacobi import (
     FLOAT_SWEEP_MAX_ORDER,
@@ -270,6 +270,18 @@ class TestFloatSweepParity:
             assert single == outcome(np.stack([m, m]))
             converged.add(single is not None)
         assert converged == {True, False}
+
+    def test_mixed_stack_moves_only_the_zero_eigenvalue(self):
+        # in a stack every matrix rotates until the slowest has converged;
+        # the extra rotations may move a near-zero eigenvalue, no other
+        rng = np.random.default_rng([1, 1])
+        for topo in (STAR, CYCLE4, PATH4, KITE):
+            mats = build_laplacians(topo, rng.uniform(0.0, 4.0, (400, topo.edge_count)))
+            stacked = jacobi_spectra(mats)
+            alone = np.array([jacobi_spectra(m[None])[0] for m in mats])
+            assert stacked[:, 1:].tobytes() == alone[:, 1:].tobytes()
+            norms = np.linalg.norm(mats, axis=(1, 2))
+            assert np.all(np.abs(stacked[:, 0] - alone[:, 0]) <= 1e-20 * norms)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_named(self, bad):

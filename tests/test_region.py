@@ -18,7 +18,10 @@ from lapreal.region import (
 )
 
 # sha256 of the files written at commit a8c3cda by the per-point loop
-# emitters; the vectorized emitters must write the same bytes
+# emitters; the vectorized emitters must write the same bytes.  (700, 3.0)
+# and (1000, 0.7) were computed with the emitters of commit 57fb820, which
+# wrote the CSV one lattice row at a time: they span many CSV chunks and
+# their coordinate labels vary in width
 GOLDEN = {
     (2, 1.0): (
         "8a9729ce020e742342f4e9f39789d9a5157ea34cdeb3a409d91f601f1924b90d",
@@ -35,6 +38,14 @@ GOLDEN = {
     (300, 1.0): (
         "c3a39e029590a73a3827b2d1d20de1a0f647de887ed4957fee9fc7794aae897d",
         "18458d8322e156e08cf996a0c0e029c620b8c27d449967703ff6823f7859f39f",
+    ),
+    (700, 3.0): (
+        "1b3edf89cfebf6dd1a4f49999582bc67b4fab9831ed3757611f8ad47014890ca",
+        "e26a6495856de8835824d366d3068e2b9f37514a3372b8d1423724fd377315dc",
+    ),
+    (1000, 0.7): (
+        "399a5e314d7d3d866f4f714e5fc2722d790490ed6b4a373b3557fd19ef086867",
+        "ef60f44105e2e411127a9a8164d54d2eee08b386d1c4a69dc05ef08c03f7e172",
     ),
 }
 
@@ -198,13 +209,13 @@ class TestRunDetection:
 
     def test_all_false_column_draws_nothing(self):
         grid = evaluate_grid(9)
-        parts = _panel_elements(grid, np.zeros(grid.cell_count, dtype=bool))
-        assert parts == []
+        parts = _panel_elements(grid, np.zeros((grid.cell_count, 1), dtype=bool))
+        assert parts == [[]]
 
     def test_all_true_column(self):
         res = 9
         grid = evaluate_grid(res)
-        parts = _panel_elements(grid, grid.column("k4"))
+        (parts,) = _panel_elements(grid, grid.column("k4")[:, None])
         assert sum(p.startswith("<rect") for p in parts) == res + 1
         assert sum(p.startswith("<line") for p in parts) == 3
 
@@ -214,7 +225,17 @@ class TestRunDetection:
         i, j = grid.bary[:, 0], grid.bary[:, 1]
         # row j = 0 holds i = 0..6: runs at i in {0, 1} and i in {4, 5}
         column = (j == 0) & np.isin(i, [0, 1, 4, 5])
-        rects = [p for p in _panel_elements(grid, column) if p.startswith("<rect")]
+        (parts,) = _panel_elements(grid, column[:, None])
+        rects = [p for p in parts if p.startswith("<rect")]
         assert len(rects) == 2
         half_h = math.sqrt(3.0) / (2.0 * res)
         assert all(f'y="{-half_h:.6f}"' in r for r in rects)
+
+    def test_panels_drawn_together_match_each_alone(self):
+        # all panels share one scatter and one run search; each must get
+        # exactly the elements it gets when drawn on its own
+        grid = evaluate_grid(17)
+        together = _panel_elements(grid, grid.masks)
+        alone = [_panel_elements(grid, grid.masks[:, [p]])[0] for p in range(len(PANEL_ORDER))]
+        assert together == alone
+        assert all(together)
