@@ -3,28 +3,31 @@
 Independent of the closed-form cubic route; the two are cross-checked in
 the test suite.  Each sweep is n - 1 steps (n for odd n) of n/2 disjoint
 rotations.  A matrix is scaled by ``graphs.unit_scaled``'s rule, so its
-Frobenius norm, the convergence scale, cannot overflow or underflow.
+Frobenius norm, the convergence scale, cannot overflow or underflow.  A step
+is the symmetric update (Rutishauser 1966): a pair's diagonal moves by -+t a_pq
+and a_pq becomes 0; each 2x2 block between pairs i < j is rotated once, rows
+by pair i, then columns by pair j, and mirrored, so only the upper triangle of
+the input is read; at odd n the unpaired index's entries get each pair's columns.
 
-Two sweeps run the same schedule.  A stack is held as one ``(n, n, batch)``
-array, so each entry is a contiguous batch vector and a step is ~40 numpy
-calls whatever the batch.  One matrix of order up to ``FLOAT_SWEEP_MAX_ORDER``
-is swept on Python floats instead: a numpy call costs microseconds however
-few entries it touches, while the float loop pays per entry, n^2 updates a
-step.  On single K_n Laplacians the float sweep is ~2.5x faster at n = 8,
-~1.1x at n = 15 and ~1.1x slower at n = 16, the measured crossover.  It
-makes the same IEEE operations per entry in the same order, so a matrix swept
-alone and a stack of copies of it give the same bits.  A stack of different
-matrices is not bit-identical to sweeping each alone: every matrix keeps
-rotating until the slowest one has converged, and the extra rotations can
-move a near-zero eigenvalue by ~1e-22.  On 2500 seeded weightings of each
-four-vertex graph this moved the zero eigenvalue of 249-546 of them; the
-other three eigenvalues kept their bits.
+Two sweeps run it.  A stack is held as one ``(n, n, batch)`` array, so each
+entry is a contiguous batch vector and a step is ~45 numpy calls whatever the
+batch.  One matrix of order up to ``FLOAT_SWEEP_MAX_ORDER`` is swept on Python
+floats instead: a numpy call costs microseconds however few entries it touches,
+while the float loop pays per entry.  On single K_n Laplacians the float sweep
+is ~5x faster at n = 8, ~1.15x at n = 27 and even from n = 28, the measured
+crossover.  It makes the same IEEE operations per entry in the same order, so a
+matrix swept alone and a stack of copies of it give the same bits.  A stack of
+different matrices is not bit-identical to sweeping each alone: every matrix
+keeps rotating until the slowest one has converged, and the extra rotations can
+move a near-zero eigenvalue by ~1e-22; on seeded four-vertex Laplacians the
+other eigenvalues kept their bits.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,36 +39,50 @@ OFFDIAG_TOL = 1e-12
 MAX_SWEEPS = 100
 
 #: largest order of a single matrix swept on Python floats (the measured crossover)
-FLOAT_SWEEP_MAX_ORDER = 15
+FLOAT_SWEEP_MAX_ORDER = 27
 
 
 class JacobiNonConvergence(RuntimeError):
     """The sweep limit was hit before the off-diagonal mass vanished."""
 
 
-@functools.cache
-def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """One sweep: steps ``(p, q, perm)`` of disjoint pairs p < q, ``perm`` swapping each.
+class _Step(NamedTuple):
+    """One step of a sweep: disjoint pairs p < q, and the flat indices row * n + col it reads."""
 
-    Built once per order and shared, so the index arrays are read-only.
-    """
+    pairs: tuple[tuple[int, int], ...]
+    odd: tuple[int, ...]  # the index left unpaired at odd n
+    diag: np.ndarray  # (4, pairs): pp, qq, pq and qp
+    rows: np.ndarray  # (blocks,): the pair i of each block, i < j
+    cols: np.ndarray  # (segments,): the pair j of each segment
+    seg: np.ndarray  # (segments, 2): row r at cols p_j, q_j; a block's two rows, then odd's
+    mirror: np.ndarray  # (segments, 2): the same entries transposed
+
+
+@functools.cache
+def _round_robin(n: int) -> tuple[tuple[_Step, ...], np.ndarray, np.ndarray]:
+    """Shared read-only schedule: a sweep's steps, the strict upper triangle, its mirror."""
     m = n + n % 2  # for odd n, a dummy index n pads the ring and its pair is dropped
     ring = np.arange(m)
     steps = []
     for _ in range(m - 1):
         p, q = np.sort([ring[: m // 2], ring[::-1][: m // 2]], axis=0)
-        p, q = p[q < n], q[q < n]
-        perm = np.arange(n)
-        perm[p], perm[q] = q, p
-        for a in (p, q, perm):
-            a.flags.writeable = False
-        steps.append((p, q, perm))
+        odd, p, q = p[q == n], p[q < n], q[q < n]
+        i, j = np.triu_indices(p.size, 1)
+        r = np.concatenate((np.stack((p[i], q[i]), axis=1).ravel(), np.repeat(odd, p.size)))
+        cols = np.concatenate((np.repeat(j, 2), np.tile(np.arange(p.size), odd.size)))
+        pq = np.stack((p[cols], q[cols]), axis=1)
+        diag = np.stack((p * (n + 1), q * (n + 1), p * n + q, q * n + p))
+        steps.append(_Step(tuple(zip(p.tolist(), q.tolist())), tuple(odd.tolist()), diag, i, cols,
+                           r[:, None] * n + pq, pq * n + r[:, None]))
         ring[1:] = np.roll(ring[1:], 1)
-    return tuple(steps)
+    i, j = np.triu_indices(n, 1)
+    for a in (upper := i * n + j, lower := j * n + i, *(a for step in steps for a in step[2:])):
+        a.flags.writeable = False
+    return tuple(steps), upper, lower
 
 
 def jacobi_spectra(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
-    """Eigenvalues of a (batch, n, n) stack of symmetric matrices, ascending."""
+    """Ascending eigenvalues of a (batch, n, n) stack of upper triangles of symmetric matrices."""
     b = np.asarray(mats, dtype=float)
     if b.ndim != 3 or b.shape[1] != b.shape[2]:
         raise ValueError(f"expected (batch, n, n) stack, got shape {b.shape}")
@@ -76,6 +93,8 @@ def jacobi_spectra(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray
         raise ValueError(f"non-finite entry {b[k, i, j]} in matrix {k} at [{i}, {j}]")
     e = np.where((UNIT_LOW <= big) & (big <= UNIT_HIGH), 0, np.frexp(big)[1])
     b = np.ldexp(b.transpose(1, 2, 0), -e, order="C")
+    _, upper, lower = _round_robin(n)
+    b.reshape(n * n, batch)[lower] = b.reshape(n * n, batch)[upper]
     norms = np.linalg.norm(b, axis=(0, 1))
     if batch == 1 and n <= FLOAT_SWEEP_MAX_ORDER:
         diagonal = [_sweep_floats(b[:, :, 0].tolist(), float(OFFDIAG_TOL * norms[0]), max_sweeps)]
@@ -89,55 +108,56 @@ def jacobi_spectra(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray
 
 
 def _sweep_stack(b: np.ndarray, norms: np.ndarray, max_sweeps: int) -> np.ndarray:
-    """Sweep the ``(n, n, batch)`` array ``b`` in place; its ``(batch, n)`` diagonal."""
+    """Sweep the symmetric ``(n, n, batch)`` array ``b`` in place; its ``(batch, n)`` diagonal."""
     n, _, batch = b.shape
-    off_mask = ~np.eye(n, dtype=bool)
-    steps = _round_robin(n)
-    for _ in range(max_sweeps):
-        off = np.abs(b[off_mask]).max(axis=0, initial=0.0)
-        if not np.any(off > OFFDIAG_TOL * norms):
-            return b.diagonal()
-        for p, q, perm in steps:
-            # angles from the entries before the step: disjoint rotations commute
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                theta = (b[q, q] - b[p, p]) / (2.0 * b[p, q])
+    flat = b.reshape(n * n, batch)
+    steps, upper, _ = _round_robin(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_sweeps):
+            off = np.abs(flat[upper]).max(axis=0, initial=0.0)
+            if not np.any(off > OFFDIAG_TOL * norms):
+                return b.diagonal()
+            for step in steps:
+                # angles from the entries before the step: disjoint rotations commute
+                d = flat[step.diag]
+                theta = (d[1] - d[0]) / (2.0 * d[2])
                 t = np.copysign(1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0)), theta)
-            t[np.isnan(t)] = 0.0
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            cv, sv = np.ones((n, batch)), np.zeros((n, batch))
-            cv[p] = cv[q] = c
-            sv[p], sv[q] = -t * c, t * c
-            # rows, then columns: p becomes c p - s q and q becomes s p + c q
-            for side in (b, b.transpose(1, 0, 2)):
-                turned = side[perm]
-                turned *= sv[:, None]
-                side *= cv[:, None]
-                side += turned
-            b[p, q] = b[q, p] = 0.0
+                t[np.isnan(t)] = 0.0
+                c, turn = 1.0 / np.sqrt(t * t + 1.0), t * d[2]
+                s = t * c
+                d[0] -= turn
+                d[1] += turn
+                d[2:] = 0.0
+                flat[step.diag] = d
+                # p becomes c p - s q and q becomes s p + c q: each block's rows, then
+                # every segment's columns, written to the block and to its mirror
+                g = flat[step.seg]
+                h = g[: 2 * step.rows.size].reshape(-1, 2, 2, batch)
+                ci, si = c[step.rows, None], s[step.rows, None]
+                h[:, 0], h[:, 1] = ci * h[:, 0] - si * h[:, 1], si * h[:, 0] + ci * h[:, 1]
+                cj, sj = c[step.cols], s[step.cols]
+                g[:, 0], g[:, 1] = cj * g[:, 0] - sj * g[:, 1], sj * g[:, 0] + cj * g[:, 1]
+                flat[step.seg] = flat[step.mirror] = g
     raise JacobiNonConvergence(f"no convergence after {max_sweeps} sweeps")
 
 
 def _sweep_floats(a: list[list[float]], threshold: float, max_sweeps: int) -> list[float]:
-    """Sweep one matrix held as rows of Python floats in place; its diagonal.
+    """Sweep one symmetric matrix held as rows of Python floats in place; its diagonal.
 
-    Each entry gets the operations of ``_sweep_stack`` in the same order:
-    every pair's rows, then every pair's columns, then the pair's entries set
-    to 0.0.  A row left unpaired is skipped; the stack sweep's ``x*1 + x*0``
-    leaves its bits as they are, since the rotations keep every entry finite
-    (below the Frobenius norm).
+    Each entry gets the operations of ``_sweep_stack`` in the same order.
     """
     n = len(a)
-    steps = [tuple(zip(p.tolist(), q.tolist())) for p, q, _ in _round_robin(n)]
+    steps = _round_robin(n)[0]
     copysign, sqrt = math.copysign, math.sqrt
     for _ in range(max_sweeps):
-        off = max((abs(v) for i, row in enumerate(a) for v in row[:i] + row[i + 1 :]), default=0.0)
+        off = max((abs(v) for i, row in enumerate(a) for v in row[i + 1 :]), default=0.0)
         if not off > threshold:
             return [a[i][i] for i in range(n)]
-        for pairs in steps:
+        for step in steps:
             turns = []
-            for p, q in pairs:
-                rp, rq = a[p], a[q]
-                diff, den = rq[q] - rp[p], 2.0 * rp[q]
+            for p, q in step.pairs:
+                app, aqq, apq = a[p][p], a[q][q], a[p][q]
+                diff, den = aqq - app, 2.0 * apq
                 if den:
                     theta = diff / den
                     t = copysign(1.0 / (abs(theta) + sqrt(theta * theta + 1.0)), theta)
@@ -145,17 +165,24 @@ def _sweep_floats(a: list[list[float]], threshold: float, max_sweeps: int) -> li
                     # numpy's diff / ±0 is ±inf, giving t = ±0.0; its 0 / 0 is nan, reset to 0.0
                     t = copysign(0.0, diff) * copysign(1.0, den) if diff else 0.0
                 c = 1.0 / sqrt(t * t + 1.0)
-                sp, sq = -t * c, t * c
-                a[p] = [x * c + y * sp for x, y in zip(rp, rq)]
-                a[q] = [y * c + x * sq for x, y in zip(rp, rq)]
-                turns.append((p, q, c, sp, sq))
-            for row in a:
-                for p, q, c, sp, sq in turns:
-                    x, y = row[p], row[q]
-                    row[p] = x * c + y * sp
-                    row[q] = y * c + x * sq
-            for p, q in pairs:
+                a[p][p], a[q][q] = app - t * apq, aqq + t * apq
                 a[p][q] = a[q][p] = 0.0
+                turns.append((p, q, c, t * c))
+            for k, (p, q, c, s) in enumerate(turns):
+                rp, rq = a[p], a[q]
+                for pj, qj, cj, sj in turns[k + 1 :]:
+                    w, x, y, z = rp[pj], rp[qj], rq[pj], rq[qj]
+                    w, y = c * w - s * y, s * w + c * y
+                    x, z = c * x - s * z, s * x + c * z
+                    rp[pj] = a[pj][p] = cj * w - sj * x
+                    rp[qj] = a[qj][p] = sj * w + cj * x
+                    rq[pj] = a[pj][q] = cj * y - sj * z
+                    rq[qj] = a[qj][q] = sj * y + cj * z
+            for u in step.odd:
+                for p, q, c, s in turns:
+                    x, y = a[u][p], a[u][q]
+                    a[u][p] = a[p][u] = c * x - s * y
+                    a[u][q] = a[q][u] = s * x + c * y
     raise JacobiNonConvergence(f"no convergence after {max_sweeps} sweeps")
 
 
@@ -166,6 +193,6 @@ def spectrum_numeric(mat: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarra
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     # a non-finite entry is left to jacobi_spectra, which names it; the
     # tolerance scales with the largest entry, so it holds at any scale
-    if np.isfinite(m).all() and not np.allclose(m, m.T, atol=1e-12 * np.abs(m).max()):
+    if np.isfinite(m).all() and not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * np.abs(m).max()):
         raise ValueError("matrix is not symmetric")
     return jacobi_spectra(m[None, :, :], max_sweeps=max_sweeps)[0]

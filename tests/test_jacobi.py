@@ -29,25 +29,29 @@ def symmetric_stack(rng, batch, n):
 class TestRoundRobin:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_every_pair_once_per_sweep(self, n):
-        steps = _round_robin(n)
+        steps = _round_robin(n)[0]
         # n - 1 steps of n/2 pairs, or n steps of (n - 1)/2 pairs for odd n
         assert len(steps) == n - 1 + n % 2
         seen = []
-        for p, q, perm in steps:
-            assert p.size == n // 2
-            touched = np.concatenate((p, q))
-            assert len(set(touched.tolist())) == touched.size  # disjoint within a step
-            assert np.all(p < q)
-            want = np.arange(n)
-            want[p], want[q] = q, p
-            np.testing.assert_array_equal(perm, want)
-            seen += list(zip(p.tolist(), q.tolist()))
+        for step in steps:
+            assert len(step.pairs) == n // 2
+            touched = [i for pair in step.pairs for i in pair] + list(step.odd)
+            assert sorted(touched) == list(range(n))  # disjoint, one left over at odd n
+            assert all(p < q for p, q in step.pairs)
+            seen += step.pairs
+            # the pairs' 2x2 diagonal blocks, the off-diagonal blocks, the odd
+            # index's segments and their mirrors cover every entry once
+            covered = np.concatenate(
+                (step.diag.ravel(), step.seg.ravel(), step.mirror.ravel(),
+                 [u * (n + 1) for u in step.odd])
+            )
+            np.testing.assert_array_equal(np.sort(covered), np.arange(n * n))
         assert sorted(seen) == list(itertools.combinations(range(n), 2))
 
     def test_schedule_built_once_and_read_only(self):
-        steps = _round_robin(6)
-        assert _round_robin(6) is steps
-        for arr in steps[0]:
+        steps, upper, lower = schedule = _round_robin(6)
+        assert _round_robin(6) is schedule
+        for arr in (upper, lower, *steps[0][2:]):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
 
@@ -108,6 +112,10 @@ class TestSpectrumNumeric:
             spectrum_numeric(np.array([[2.0, 1.0], [0.0, 3.0]]) * scale)
         with pytest.raises(ValueError, match="not symmetric"):
             spectrum_numeric(np.array([[0.0, 1.0], [0.0, 0.0]]) * scale)
+        # numpy's default rtol=1e-5 let [[2, 1], [1 + 1e-6, 3]] pass, and its
+        # spectrum came back as that of the asymmetric matrix
+        with pytest.raises(ValueError, match="not symmetric"):
+            spectrum_numeric(np.array([[2.0, 1.0], [1.0 + 1e-6, 3.0]]) * scale)
         m = np.array([[2.0, 1.0], [1.0, 3.0]]) * scale
         m[0, 1] *= 1.0 + 1e-14  # roundoff-level asymmetry still passes
         np.testing.assert_allclose(spectrum_numeric(m), np.linalg.eigvalsh(m), rtol=1e-12)
@@ -184,6 +192,18 @@ class TestJacobiSpectra:
         mats = np.zeros((20, 5, 5))
         mats[:, np.arange(5), np.arange(5)] = diag
         np.testing.assert_array_equal(jacobi_spectra(mats), np.sort(diag, axis=1))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, FLOAT_SWEEP_MAX_ORDER + 1])
+    def test_reads_only_the_upper_triangle(self, n):
+        rng = np.random.default_rng(89 + n)
+        a = rng.standard_normal((3, n, n))
+        upper = np.triu(a) + np.triu(a, 1).transpose(0, 2, 1)
+        skewed = upper.copy()
+        lower = np.tril_indices(n, -1)
+        skewed[:, lower[0], lower[1]] *= 1.0 + 1e-14 * rng.choice([-1.0, 1.0], (3, lower[0].size))
+        # the float sweep (one matrix up to FLOAT_SWEEP_MAX_ORDER) and the stack sweep
+        for mats, want in ((skewed[:1], upper[:1]), (skewed, upper)):
+            assert jacobi_spectra(mats).tobytes() == jacobi_spectra(want).tobytes()
 
     def test_sweep_limit_raises(self):
         mats = symmetric_stack(np.random.default_rng(59), 1, 6)
@@ -289,6 +309,36 @@ class TestFloatSweepParity:
         m[2, 3] = m[3, 2] = bad
         with pytest.raises(ValueError, match=r"non-finite entry .* in matrix 0 at \[2, 3\]"):
             jacobi_spectra(m[None])
+
+
+#: sweeps needed by each of 40 K_n Laplacians, weights default_rng([2, n]), before
+#: the symmetric step; its sweep must converge within them
+COMPLETE_SWEEPS = {
+    4: "4455545455544545545554444554545454544545",
+    5: "5556555655555555555555555555555555556555",
+    6: "6555656556666565655666655566555665555666",
+    7: "5665666666566666666565565656656666666566",
+    8: "6666666665566656666666666666666666666566",
+}
+
+
+class TestConvergenceRate:
+    def test_four_vertex_stacks(self):
+        # the forward workload's weightings: 2500 of each graph, uniform on [0, 4)
+        rng = np.random.default_rng([1, 1])
+        for topo, sweeps in ((STAR, 6), (CYCLE4, 5), (PATH4, 5), (KITE, 5)):
+            mats = build_laplacians(topo, rng.uniform(0.0, 4.0, (2500, topo.edge_count)))
+            jacobi_spectra(mats, max_sweeps=sweeps)
+
+    @pytest.mark.parametrize("n", sorted(COMPLETE_SWEEPS))
+    def test_complete_laplacians(self, n):
+        topo = complete(n)
+        weights = np.random.default_rng([2, n]).uniform(0.0, 4.0, (40, topo.edge_count))
+        mats = build_laplacians(topo, weights)
+        sweeps = [int(k) for k in COMPLETE_SWEEPS[n]]
+        for m, k in zip(mats, sweeps):
+            jacobi_spectra(m[None], max_sweeps=k)
+        jacobi_spectra(mats, max_sweeps=max(sweeps))
 
 
 class TestCompleteZeroEigenvalue:
