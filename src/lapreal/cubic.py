@@ -107,9 +107,11 @@ def reduced_cubic_batch(topology: Topology, weight_rows: np.ndarray):
 def cubic_discriminant(p2: float, p1: float, p0: float) -> float:
     """Discriminant 18*B*C*D - 4*B^3*D + B^2*C^2 - 4*C^3 - 27*D^2 of the monic cubic.
 
-    Operators only, so it serves Python floats and numpy arrays alike.
+    Products only (numpy's ``**`` is slow on negative arrays), so it serves
+    Python floats and numpy arrays alike.
     """
-    return 18.0 * p2 * p1 * p0 - 4.0 * p2**3 * p0 + p2**2 * p1**2 - 4.0 * p1**3 - 27.0 * p0**2
+    b2, c2 = p2 * p2, p1 * p1  # B^2 and C^2
+    return 18.0 * p2 * p1 * p0 - 4.0 * (b2 * p2) * p0 + b2 * c2 - 4.0 * (c2 * p1) - 27.0 * (p0 * p0)
 
 
 _TWO_PI = 2.0 * math.pi
@@ -233,7 +235,7 @@ def solve_cubic_real_batch(p2, p1, p0, strict: bool = True) -> np.ndarray:
     if strict:
         disc = cubic_discriminant(p2, p1, p0)
         scale = np.maximum(1.0, np.maximum(np.abs(p2), np.maximum(np.abs(p1), np.abs(p0))))
-        bad = disc < -DISC_TOL * scale**3
+        bad = disc < -DISC_TOL * (scale * scale * scale)
         if np.any(bad):
             idx = int(np.argmax(bad))
             raise NoThreeRealRoots(
@@ -241,7 +243,7 @@ def solve_cubic_real_batch(p2, p1, p0, strict: bool = True) -> np.ndarray:
                 f"({p2[idx]}, {p1[idx]}, {p0[idx]})"
             )
     p = p1 - p2 * p2 / 3.0
-    q = 2.0 * p2**3 / 27.0 - p2 * p1 / 3.0 + p0
+    q = 2.0 * (p2 * p2 * p2) / 27.0 - p2 * p1 / 3.0 + p0
     shift = -p2 / 3.0
     m = 2.0 * np.sqrt(np.maximum(-p, 0.0) / 3.0)
     with np.errstate(divide="ignore", invalid="ignore"):

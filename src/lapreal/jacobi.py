@@ -193,6 +193,6 @@ def spectrum_numeric(mat: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarra
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     # a non-finite entry is left to jacobi_spectra, which names it; the
     # tolerance scales with the largest entry, so it holds at any scale
-    if np.isfinite(m).all() and not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * np.abs(m).max()):
+    if np.isfinite(m).all() and np.abs(m - m.T).max() > 1e-12 * np.abs(m).max():
         raise ValueError("matrix is not symmetric")
     return jacobi_spectra(m[None, :, :], max_sweeps=max_sweeps)[0]

@@ -99,8 +99,8 @@ def _rng(cfg: SamplerConfig, topology: Topology, purpose: str) -> np.random.Gene
 def sample_simplex(rng: np.random.Generator, count: int):
     """Uniform samples from {x+y+z=1, x,y,z >= 0} via sorted uniform spacings."""
     u = rng.random((count, 2))
-    u.sort(axis=1)
-    return u[:, 0], u[:, 1] - u[:, 0], 1.0 - u[:, 1]
+    lo, hi = np.minimum(u[:, 0], u[:, 1]), np.maximum(u[:, 0], u[:, 1])
+    return lo, hi - lo, 1.0 - hi
 
 
 def forward_triples(topology: Topology, weights: np.ndarray) -> np.ndarray:

@@ -5,6 +5,12 @@ The grid holds one membership bit per topology for every lattice point
 x + y + z = normalization.  The SVG reproduces the five region panels:
 realizable interior cells in gray, realizable cells with a zero
 coordinate in black, the rest white.
+
+A spectrum is a multiset, so every criterion is a symmetric function of
+(x, y, z): the grid evaluates each mask once per permutation orbit, on its
+sorted point, and copies the verdict to the orbit.  This is exact, as the
+masks on the full lattice give every point of an orbit the same bits
+(checked at every resolution 2..400 and at 700, 1000, 1500 and 2000).
 """
 
 from __future__ import annotations
@@ -55,15 +61,26 @@ def evaluate_grid(resolution: int, normalization: float = 1.0) -> RegionGrid:
         raise ValueError(f"normalization must be positive and finite, got {normalization}")
     # lattice points (i, j, resolution - i - j) by i, then j; k = i + j
     i, k = np.triu_indices(resolution + 1)
-    bary = np.column_stack([i, k - i, resolution - k])
+    a, b, c = i, k - i, resolution - k
+    bary = np.column_stack([a, b, c])
+    # each mask runs on the sorted points a <= b <= c only (module docstring):
+    # orbit[n] is lattice point n's sorted point, found by its (lo, mid) in a
+    # table of (res // 3 + 1) * (res + 1) keys, as lo <= res / 3
+    lo = np.minimum(np.minimum(a, b), c)
+    mid = resolution - lo - np.maximum(np.maximum(a, b), c)
+    reps = np.flatnonzero((a <= b) & (b <= c))
+    table = np.empty((resolution // 3 + 1) * (resolution + 1), dtype=np.intp)
+    table[a[reps] * (resolution + 1) + b[reps]] = np.arange(reps.size)
+    orbit = table[lo * (resolution + 1) + mid]
     # the criteria are homogeneous: evaluated on the unit simplex, the
     # masks cannot overflow or underflow at any normalization
     scale = 1.0 / resolution
-    x, y, z = bary[:, 0] * scale, bary[:, 1] * scale, bary[:, 2] * scale
+    x, y, z = a[reps] * scale, b[reps] * scale, c[reps] * scale
     masks = np.column_stack(
         [MASKS["complete" if name == "k4" else name](x, y, z) for name in PANEL_ORDER]
     )
-    return RegionGrid(resolution, normalization, bary, masks)
+    # take copies whole rows; masks[orbit] is ~4x slower on a (cells, 5) array
+    return RegionGrid(resolution, normalization, bary, masks.take(orbit, axis=0))
 
 
 #: cells gathered into one string and written at a time, so memory stays
@@ -72,6 +89,7 @@ CSV_CHUNK = 8192
 
 # CSV bits of each packed mask code, ending its row; the highest of the
 # five bits is PANEL_ORDER[0]
+_WEIGHTS = np.array([16, 8, 4, 2, 1], dtype=np.uint8)
 _BITS = np.array([",".join(format(code, "05b")) + "\n" for code in range(32)], dtype=object)
 
 
@@ -82,7 +100,7 @@ def write_csv(grid: RegionGrid, path: str) -> None:
     # so each of the res + 1 distinct values is formatted once
     values = (np.arange(res + 1) * (grid.normalization / res)).tolist()
     labels = np.array([format(v, ".9g") + "," for v in values], dtype=object)
-    codes = np.packbits(grid.masks, axis=1)[:, 0] >> 3
+    codes = grid.masks.view(np.uint8) @ _WEIGHTS
     table = np.empty((CSV_CHUNK, 4), dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,z,star,cycle,path,kite,k4\n")
@@ -100,15 +118,15 @@ def _cartesian(i: int, j: int, k: int, res: int) -> tuple[float, float]:
     return (k - i) / res, SQRT3 * j / res
 
 
-def _row_runs(flags: np.ndarray) -> list[tuple[int, int, int]]:
-    """Maximal runs of True in each row of a 2-D array as (row, start, stop), stop inclusive."""
+def _row_runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of True in each row of a 2-D array: arrays row, start, stop (inclusive)."""
     rows, cols = flags.shape
     padded = np.zeros((rows, cols + 2), dtype=bool)
     padded[:, 1:-1] = flags
     # every padded row starts and ends False, so its changes pair up as
     # (start, stop + 1) and the flat list of changes pairs up in order
     row, col = np.divmod(np.flatnonzero(np.diff(padded, axis=1)), cols + 1)
-    return list(zip(row[::2].tolist(), col[::2].tolist(), (col[1::2] - 1).tolist()))
+    return row[::2], col[::2], col[1::2] - 1
 
 
 def _panel_elements(grid: RegionGrid, columns: np.ndarray) -> list[list[str]]:
@@ -121,20 +139,24 @@ def _panel_elements(grid: RegionGrid, columns: np.ndarray) -> list[list[str]]:
     # so each lattice row is one row of the panel; unset entries stay False
     flags = np.zeros((columns.shape[1], n, n), dtype=bool)
     flags[:, grid.bary[:, 1], grid.bary[:, 0]] = columns.T
-    panels = [[] for _ in range(columns.shape[1])]
     # gray interior: one rectangle per run of realizable points in a row.
-    # A run (j, a, b) starts at x = (res - j - 2b) / res - cell, so the x and
-    # y labels come from tables of the 2 res + 1 and res + 1 distinct values
+    # A run (j, a, b) starts at x = (res - j - 2b) / res - cell, so the x, y
+    # and width labels come from tables of their few distinct values
     xs = [f"{v:.6f}" for v in (np.arange(-res, res + 1) / res - cell).tolist()]
     ys = [f"{v:.6f}" for v in (SQRT3 * np.arange(n) / res - half_h).tolist()]
     height = f"{2 * half_h:.6f}"
-    for row, a, b in _row_runs(flags.reshape(-1, n)):
-        p, j = divmod(row, n)
-        width = (res - j - 2 * a) / res - (res - j - 2 * b) / res + 2 * cell
-        panels[p].append(
-            f'<rect x="{xs[2 * res - j - 2 * b]}" y="{ys[j]}" '
-            f'width="{width:.6f}" height="{height}" fill="{GRAY}"/>'
-        )
+    row, a, b = _row_runs(flags.reshape(-1, n))
+    p, j = np.divmod(row, n)
+    width = (res - j - 2 * a) / res - (res - j - 2 * b) / res + 2 * cell
+    widths, width_of = np.unique(width, return_inverse=True)
+    ws = [f"{v:.6f}" for v in widths.tolist()]
+    rects = [
+        f'<rect x="{xs[x]}" y="{ys[y]}" width="{ws[w]}" height="{height}" fill="{GRAY}"/>'
+        for x, y, w in zip((2 * res - j - 2 * b).tolist(), j.tolist(), width_of.tolist())
+    ]
+    # runs come panel by panel, so each panel's rects are one slice
+    ends = np.cumsum(np.bincount(p, minlength=columns.shape[1])).tolist()
+    panels = [rects[start:stop] for start, stop in zip([0] + ends, ends)]
     # black overlay: realizable points with some zero coordinate
     stroke = f"{1.8 * cell:.6f}"
     idx = np.arange(n)
@@ -145,7 +167,7 @@ def _panel_elements(grid: RegionGrid, columns: np.ndarray) -> list[list[str]]:
         lambda t: (res - t, t),  # right edge, z = 0
     )
     edge_flags = np.stack([flags[:, 0, :], flags[:, :, 0], flags[:, idx, res - idx]], axis=1)
-    for row, a, b in _row_runs(edge_flags.reshape(-1, n)):
+    for row, a, b in np.column_stack(_row_runs(edge_flags.reshape(-1, n))).tolist():
         p, edge = divmod(row, len(edge_points))
         i0, j0 = edge_points[edge](a)
         i1, j1 = edge_points[edge](b)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from lapreal.realizability import MASKS
 from lapreal.region import (
     PANEL_ORDER,
     _panel_elements,
@@ -89,6 +90,26 @@ class TestEvaluateGrid:
         for bary, mask in table.items():
             for perm in itertools.permutations(bary):
                 assert table[perm] == mask
+
+    @pytest.mark.parametrize("res", [*range(2, 151), 300, 700, 1000])
+    def test_orbit_evaluation_matches_full_lattice(self, res):
+        # the grid evaluates each mask once per permutation orbit; it must
+        # give every point the bits the masks give on the full lattice
+        grid = evaluate_grid(res)
+        x, y, z = (grid.bary * (1.0 / res)).T
+        full = np.column_stack(
+            [MASKS["complete" if name == "k4" else name](x, y, z) for name in PANEL_ORDER]
+        )
+        np.testing.assert_array_equal(grid.masks, full)
+        # and the grid is symmetric: every permutation of a point has its bits
+        key = grid.bary[:, 0] * (res + 1) + grid.bary[:, 1]
+        index = np.empty((res + 1) ** 2, dtype=np.intp)
+        index[key] = np.arange(grid.cell_count)
+        for perm in itertools.permutations(range(3)):
+            moved = grid.bary[:, perm]
+            np.testing.assert_array_equal(
+                grid.masks[index[moved[:, 0] * (res + 1) + moved[:, 1]]], grid.masks
+            )
 
     def test_normalization_does_not_change_masks(self):
         # at 1e-60 and 1e60 the star and path masks used to flip hundreds of
@@ -205,7 +226,9 @@ class TestRunDetection:
         for shape in [(1, 1), (3, 1), (4, 9), (17, 40)]:
             for p in (0.0, 0.3, 0.8, 1.0):
                 flags = rng.random(shape) < p
-                assert _row_runs(flags) == reference_runs(flags)
+                row, start, stop = _row_runs(flags)
+                runs = list(zip(row.tolist(), start.tolist(), stop.tolist()))
+                assert runs == reference_runs(flags)
 
     def test_all_false_column_draws_nothing(self):
         grid = evaluate_grid(9)
