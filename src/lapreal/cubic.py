@@ -157,7 +157,7 @@ def _roots(p2, p1, p0, three=True, clamp=True):
         roots = [_cbrt(-q / 2.0 + sqrt_h) + _cbrt(-q / 2.0 - sqrt_h) + shift]
     for k, r in enumerate(roots):
         fp = (3.0 * r + 2.0 * p2) * r + p1
-        scale = max(1.0, abs(r))
+        scale = abs(r) if abs(r) > 1.0 else 1.0  # max(1.0, abs(r)) without the call
         if abs(fp) > 1e-6 * scale * scale:
             roots[k] = r - (((r + p2) * r + p1) * r + p0) / fp
     if len(roots) == 3:

@@ -51,13 +51,19 @@ class InternalInfeasible(RuntimeError):
     """A recovery step failed although the predicate passed (indicates a bug)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InverseSolution:
     """Weights for ``target`` on ``topology``; ``residual`` is computed on first read."""
 
     topology: Topology
     weights: tuple[float, ...]
     target: tuple[float, ...]
+
+    def __init__(self, topology: Topology, weights: tuple[float, ...], target: tuple[float, ...]):
+        # straight into the instance dict: the frozen dataclass's own __init__
+        # pays one object.__setattr__ call per field
+        fields = self.__dict__
+        fields["topology"], fields["weights"], fields["target"] = topology, weights, target
 
     @functools.cached_property
     def residual(self) -> float:
@@ -68,7 +74,10 @@ class InverseSolution:
         return float(np.max(np.abs(spec - want)))
 
 
-def _clamp_nonneg(values, scale: float = 1.0):
+def _clamp_nonneg(values: tuple[float, ...], scale: float = 1.0) -> tuple[float, ...]:
+    """``values`` with roundoff negatives in the clamp band set to 0.0; beyond it raises."""
+    if min(values) > 0.0:  # false for any value <= 0 and for a leading NaN
+        return values
     out = []
     band = CLAMP_TOL * max(1.0, scale)
     for v in values:
@@ -78,7 +87,7 @@ def _clamp_nonneg(values, scale: float = 1.0):
                 raise InternalInfeasible(f"negative weight {v} beyond clamp band")
             v = 0.0
         out.append(v)
-    return out
+    return tuple(out)
 
 
 def _quad_roots(sigma: float, prod: float) -> tuple[float, float]:
@@ -133,14 +142,15 @@ def _star_weights(triple) -> tuple[float, ...]:
     first: near its boundary the cubic's roundoff band accepts targets outside.
     """
     x, y, z = triple
-    coeffs = (-0.5 * (x + y + z), (x * y + x * z + y * z) / 3.0, -0.25 * x * y * z)
+    total = x + y + z
+    p2, p1, p0 = -0.5 * total, (x * y + x * z + y * z) / 3.0, -0.25 * x * y * z
     try:
-        roots = _roots(*coeffs, clamp=False)
+        roots = _roots(p2, p1, p0, clamp=False)
     except NoThreeRealRoots:
-        disc = cubic_discriminant(*coeffs)
+        disc = cubic_discriminant(p2, p1, p0)
         cert = Certificate("star-length-cubic", disc, "length cubic has complex roots")
         raise NotRealizable(cert) from None
-    return tuple(_clamp_nonneg(roots, scale=x + y + z))
+    return _clamp_nonneg(roots, scale=total)
 
 
 def _cycle_weights(triple) -> tuple[float, ...]:
@@ -151,10 +161,10 @@ def _cycle_weights(triple) -> tuple[float, ...]:
     weights are recovered from the quadratics u^2 - a*u + c and
     u^2 - (4-a)*u + d.
     """
-    factor = 8.0 / sum(triple)
-    lam = sorted(v * factor for v in triple)  # ascending
-    s = lam[2] - 4.0
-    t = lam[0]  # smaller remaining entry
+    x, y, z = triple
+    factor = 8.0 / (x + y + z)
+    t, _, big = sorted((x * factor, y * factor, z * factor))  # t: smaller remaining entry
+    s = big - 4.0
     if 2.0 * t + s <= 4.0:
         a = 4.0 - t
         d = t * t / 4.0
@@ -166,7 +176,8 @@ def _cycle_weights(triple) -> tuple[float, ...]:
     b = 4.0 - a
     l1, l3 = _quad_roots(a, c)
     l2, l4 = _quad_roots(b, d)
-    return tuple(w / factor for w in _clamp_nonneg((l1, l2, l3, l4), scale=8.0))
+    w1, w2, w3, w4 = _clamp_nonneg((l1, l2, l3, l4), scale=8.0)
+    return w1 / factor, w2 / factor, w3 / factor, w4 / factor
 
 
 def _path_weights(triple) -> tuple[float, ...]:
@@ -176,16 +187,17 @@ def _path_weights(triple) -> tuple[float, ...]:
     the outer weights come from u^2 - (f-a)*u + d.  The degenerate case
     with a zero entry uses a = 0 directly.
     """
-    f = sum(triple) / 2.0
-    lam = sorted(triple)  # ascending
-    s = lam[2] - f
-    t = lam[1] - lam[0]  # nonnegative spread of the remaining pair
+    x, y, z = triple
+    f = (x + y + z) / 2.0
+    small, mid, big = sorted(triple)
+    s = big - f
+    t = mid - small  # nonnegative spread of the remaining pair
     band = CLAMP_TOL * max(1.0, f)
-    if lam[0] <= band:
+    if small <= band:
         # target is (f+s, 0, f-s) up to roundoff
         d = (f * f - s * s) / 4.0
         l2, l4 = _quad_roots(f, d)
-        return tuple(_clamp_nonneg((l2, 0.0, l4), scale=f))
+        return _clamp_nonneg((l2, 0.0, l4), scale=f)
     lin = 4.0 * (f * f - s * s) + (f - s) ** 2 - t * t
     const = (f + s) * ((f - s) ** 2 - t * t)
     roots = cubic_real_roots(-f, lin / 12.0, -const / 12.0)
@@ -195,15 +207,19 @@ def _path_weights(triple) -> tuple[float, ...]:
     half = 0.25 * math.sqrt(max(window, 0.0))
     lo = f / 4.0 - half
     hi = min(f / 4.0 + half, f)
-    admissible = [r for r in roots if lo - band <= r <= hi + band and r > band]
-    if not admissible:
+    # the roots come ascending, so the last admissible one is the largest
+    a = None
+    for r in roots:
+        if lo - band <= r <= hi + band and r > band:
+            a = r
+    if a is None:
         raise InternalInfeasible(
             f"no cubic root in admissible window [{lo}, {hi}] (roots {roots})"
         )
-    a = min(max(admissible), f)
+    a = min(a, f)
     d = const / (16.0 * a)
     l2, l4 = _quad_roots(f - a, d)
-    return tuple(_clamp_nonneg((l2, a, l4), scale=f))
+    return _clamp_nonneg((l2, a, l4), scale=f)
 
 
 def _kite_weights(triple) -> tuple[float, ...]:
@@ -214,8 +230,9 @@ def _kite_weights(triple) -> tuple[float, ...]:
     R = sqrt((L1-L3)^2 - 2*L1*L3), and c = 4b - bd - (3/4)b^2; then
     l4 = d, l1 = 4 - b - d and l2, l3 solve u^2 - b*u + (c - b*l1).
     """
-    factor = 8.0 / sum(triple)
-    lam3, _, lam1 = sorted(v * factor for v in triple)
+    x, y, z = triple
+    factor = 8.0 / (x + y + z)
+    lam3, _, lam1 = sorted((x * factor, y * factor, z * factor))
     rsq = (lam1 - lam3) ** 2 - 2.0 * lam1 * lam3
     if rsq < 0.0:
         if rsq < -CLAMP_TOL * 64.0:
@@ -230,7 +247,8 @@ def _kite_weights(triple) -> tuple[float, ...]:
     # with c = 4b - bd - (3/4)b^2 the product l2*l3 = c - b*l1 collapses to
     # (b/2)^2 exactly, so the two triangle weights are always equal
     l2 = l3 = b / 2.0
-    return tuple(w / factor for w in _clamp_nonneg((l1, l2, l3, d), scale=8.0))
+    w1, w2, w3, w4 = _clamp_nonneg((l1, l2, l3, d), scale=8.0)
+    return w1 / factor, w2 / factor, w3 / factor, w4 / factor
 
 
 invert_star = _inverter(STAR, _star_weights)

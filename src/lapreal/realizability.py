@@ -174,6 +174,10 @@ def _kite_certificate(x, y, z) -> Certificate:
     return Certificate("kite-pair-gap", gap, detail)
 
 
+#: the verdict of every realizable check; a frozen value, so one instance serves all
+_REALIZABLE = Verdict(True)
+
+
 def _checker(name, mask, certificate):
     """Check ``name``: validate and scale once, run ``mask``, build ``certificate`` on rejection."""
     lo, hi = UNIT_LOW, UNIT_HIGH  # closure cells: cheaper per call than global lookups
@@ -185,7 +189,7 @@ def _checker(name, mask, certificate):
         if not lo <= x + y + z <= hi:
             (x, y, z), e = unit_scaled((x, y, z))
         if mask(x, y, z):
-            return Verdict(True)
+            return _REALIZABLE
         cert = certificate(x, y, z)
         return Verdict(False, replace(cert, detail=f"{cert.detail} at scale 2**{-e}") if e else cert)
 
