@@ -15,12 +15,9 @@ batch.  One matrix of order up to ``FLOAT_SWEEP_MAX_ORDER`` is swept on Python
 floats instead: a numpy call costs microseconds however few entries it touches,
 while the float loop pays per entry.  On single K_n Laplacians the float sweep
 is ~5x faster at n = 8, ~1.15x at n = 27 and even from n = 28, the measured
-crossover.  It makes the same IEEE operations per entry in the same order, so a
-matrix swept alone and a stack of copies of it give the same bits.  A stack of
-different matrices is not bit-identical to sweeping each alone: every matrix
-keeps rotating until the slowest one has converged, and the extra rotations can
-move a near-zero eigenvalue by ~1e-22; on seeded four-vertex Laplacians the
-other eigenvalues kept their bits.
+crossover.  It makes the same IEEE operations per entry in the same order, and a
+matrix leaves a stack at the first convergence test it passes, as the float
+sweep returns at it, so every matrix of a stack gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -108,15 +105,34 @@ def jacobi_spectra(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray
 
 
 def _sweep_stack(b: np.ndarray, norms: np.ndarray, max_sweeps: int) -> np.ndarray:
-    """Sweep the symmetric ``(n, n, batch)`` array ``b`` in place; its ``(batch, n)`` diagonal."""
+    """Sweep the symmetric ``(n, n, batch)`` array ``b`` in place; its ``(batch, n)`` diagonal.
+
+    A matrix retires at the first convergence test it passes, as ``_sweep_floats``
+    returns at it, so it gets the bits it gets alone: its diagonal is put aside
+    then and written back at the end.  It goes on rotating, unread, in its column;
+    compacting the stack instead costs fresh arrays whose page faults outweigh the
+    rotations saved.
+    """
     n, _, batch = b.shape
     flat = b.reshape(n * n, batch)
     steps, upper, _ = _round_robin(n)
+    limit = OFFDIAG_TOL * norms
+    live, left = np.ones(batch, dtype=bool), batch  # the matrices not yet retired
+    retired = []  # the matrices retired at each earlier test, and their diagonals
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(max_sweeps):
-            off = np.abs(flat[upper]).max(axis=0, initial=0.0)
-            if not np.any(off > OFFDIAG_TOL * norms):
-                return b.diagonal()
+            going = np.abs(flat[upper]).max(axis=0, initial=0.0) > limit
+            going &= live
+            count = np.count_nonzero(going)
+            if not count:
+                diagonal = flat[:: n + 1]
+                for cols, values in retired:
+                    diagonal[:, cols] = values
+                return diagonal.T
+            if count < left:
+                cols = np.flatnonzero(live ^ going)
+                retired.append((cols, flat[:: n + 1, cols]))
+                live, left = going, count
             for step in steps:
                 # angles from the entries before the step: disjoint rotations commute
                 d = flat[step.diag]
