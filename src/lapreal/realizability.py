@@ -95,7 +95,8 @@ def _path_sides(x, y, z):
     s = x * x + y * y + z * z
     p = x * y + x * z + y * z
     u = x * x * (y + z) + y * y * (x + z) + z * z * (x + y)
-    lhs = 9 * (x**3 + y**3 + z**3) - 13 * u + 62 * x * y * z
+    # products, not **: numpy's x**3 on float64 arrays can round unlike Python's pow
+    lhs = 9 * (x * x * x + y * y * y + z * z * z) - 13 * u + 62 * x * y * z
     rhs = (3 * s - 2 * p) ** 2 * (9 * s - 14 * p)
     return lhs * lhs, rhs
 

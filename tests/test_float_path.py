@@ -38,8 +38,10 @@ STAR_BAND = 1e-5
 
 GOLDEN_PER_TOPOLOGY = 600
 
-#: sha256 of repr(golden_records()) written at commit 6086437
-GOLDEN_DIGEST = "f23b0a97f06b4e1568f25f58512b93906eb445b265e7170b82289d620024ee6f"
+#: sha256 of repr(golden_records()) written at commit 6086437 and re-pinned when the
+#: path's cubes became products, which moved only the last bits of 45 path
+#: certificate values; no verdict, detail or weight changed (CHANGES.md lists them)
+GOLDEN_DIGEST = "8529601b27a54b40c9eb557d7d0060389f244b87b4eb2eb765895fdff4821d18"
 
 FIXED_TARGETS = (
     (0.0, 0.0, 0.0),
@@ -226,8 +228,10 @@ def test_rejected_invert_carries_check_certificate(kind):
 
 # The evidence of an inverse is computed when it is first read.  The
 # rejection digest pins the lazy certificates and messages to those of the
-# eager ones; it was computed at commit e427347.
-REJECTION_DIGEST = "0e9b9107efb7d47bd5826d8ea933c767117c7737ed488ab16306091f7f69ce0f"
+# eager ones; it was computed at commit e427347 and re-pinned when the path's
+# cubes became products, which moved only the last bits of 20 path certificate
+# values (CHANGES.md lists them).
+REJECTION_DIGEST = "d923906ddde6aa93120ea4496c27bc916940fb679d9490dc4bd4ba247ec5e200"
 
 TOPOLOGIES = dict(zip(KINDS, (STAR, CYCLE4, PATH4, KITE)))
 

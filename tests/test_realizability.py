@@ -270,12 +270,9 @@ def test_checks_agree_with_masks(kind):
     assert names == {KIND_CERTIFICATE[kind]} | ({"cycle-max-halfsum"} if kind == "path" else set())
 
 
-@pytest.mark.xfail(
-    reason="numpy's x**3 on float64 arrays can round differently from Python's pow (it does "
-    "on AVX-512 builds), so right on the edge of the path mask about 3% of points get "
-    "another verdict from check_path",
-    strict=False,
-)
 def test_path_check_agrees_with_mask_on_the_edge():
+    # the path's cubes are products: numpy's x**3 on float64 arrays can round
+    # differently from Python's pow (it does on AVX-512 builds), and gave another
+    # verdict on about 3% of these points
     edge, _ = band_edge("path", np.random.default_rng(59))
     assert_checks_agree("path", edge)
