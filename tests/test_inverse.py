@@ -1,6 +1,8 @@
 """Constructive inverse solvers and the suspension law."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -306,3 +308,80 @@ class TestInvertComplete:
             assert sol.topology.order == n + 1
             assert min(sol.weights) >= 0.0
             assert sol.residual <= 1e-7
+
+
+INVERTERS_AND_TARGETS = [
+    (invert_star, (1.0, 1.0, 4.0)),
+    (invert_cycle, (5.0, 2.0, 1.0)),
+    (invert_path, (2.0 + SQRT2, 2.0, 2.0 - SQRT2)),
+    (invert_kite, (4.0, 3.0, 1.0)),
+]
+
+
+def field_by_field(solution):
+    # what the frozen dataclass's generated __init__ does: one object.__setattr__ per field
+    twin = object.__new__(inverse.InverseSolution)
+    for field in dataclasses.fields(inverse.InverseSolution):
+        object.__setattr__(twin, field.name, getattr(solution, field.name))
+    return twin
+
+
+@pytest.mark.parametrize("invert, target", INVERTERS_AND_TARGETS)
+class TestInverseSolutionValue:
+    def test_frozen(self, invert, target):
+        sol = invert(target)
+        for name in ("topology", "weights", "target", "residual"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sol, name, None)
+        assert sol.target == target
+
+    def test_equal_and_hash_as_built_field_by_field(self, invert, target):
+        sol = invert(target)
+        twin = field_by_field(sol)
+        assert sol == twin and hash(sol) == hash(twin)
+        assert sol == invert(target) and hash(sol) == hash(invert(target))
+        assert sol != dataclasses.replace(sol, target=(0.0, 0.0, 0.0))
+
+    def test_pickles(self, invert, target):
+        # computing the residual once on first read is test_float_path's
+        # test_residual_computed_once_on_first_read
+        sol = invert(target)
+        fresh = pickle.loads(pickle.dumps(sol))
+        assert fresh == sol and hash(fresh) == hash(sol)
+        assert fresh.residual.hex() == sol.residual.hex()
+        # once read, the cached residual travels along
+        assert pickle.loads(pickle.dumps(sol)).__dict__ == sol.__dict__
+
+
+class TestClampNonneg:
+    def test_positive_values_pass_unchanged(self):
+        values = (1e-300, 2.0, 3.5)
+        assert inverse._clamp_nonneg(values) is values
+
+    def test_exact_zero_stays(self):
+        assert inverse._clamp_nonneg((0.0, 1.0, 2.0)) == (0.0, 1.0, 2.0)
+
+    def test_negative_zero_becomes_positive_zero(self):
+        for values in ((-0.0, 1.0, 2.0), (1.0, 2.0, -0.0)):
+            out = inverse._clamp_nonneg(values)
+            assert [math.copysign(1.0, v) for v in out] == [1.0, 1.0, 1.0]
+            assert "-0" not in repr(out)
+
+    def test_negative_inside_band_becomes_zero(self):
+        band = inverse.CLAMP_TOL
+        assert inverse._clamp_nonneg((1.0, -0.5 * band, 2.0)) == (1.0, 0.0, 2.0)
+        assert inverse._clamp_nonneg((-band, 1.0)) == (0.0, 1.0)
+        # the band scales with max(1, scale)
+        assert inverse._clamp_nonneg((1.0, -50.0 * band), scale=100.0) == (1.0, 0.0)
+
+    def test_negative_beyond_band_raises(self):
+        band = inverse.CLAMP_TOL
+        with pytest.raises(InternalInfeasible, match="beyond clamp band"):
+            inverse._clamp_nonneg((1.0, -2.0 * band, 2.0))
+        with pytest.raises(InternalInfeasible):
+            inverse._clamp_nonneg((1.0, -200.0 * band), scale=100.0)
+
+    def test_nan_passes_through(self):
+        for values in ((math.nan, 1.0), (1.0, math.nan), (math.nan, -0.0)):
+            out = inverse._clamp_nonneg(values)
+            assert [math.isnan(v) for v in out] == [math.isnan(v) for v in values]
