@@ -99,21 +99,26 @@ def check_weights(topology: Topology, weights) -> np.ndarray:
     return np.array(float_weights(topology, weights))
 
 
-def build_laplacian(topology: Topology, weights) -> np.ndarray:
-    """Weighted (degree minus adjacency) Laplacian as a dense symmetric array.
+def laplacian_rows(topology: Topology, weights) -> list[list[float]]:
+    """Weighted (degree minus adjacency) Laplacian as rows of Python floats.
 
     Rows sum to zero by construction; zero weights are allowed and act as
     deleted edges.
     """
     w = float_weights(topology, weights)
     n = topology.order
-    lap = np.zeros((n, n))
+    rows = [[0.0] * n for _ in range(n)]
     for (i, j), wij in zip(topology.edges, w):
-        lap[i, i] += wij
-        lap[j, j] += wij
-        lap[i, j] -= wij
-        lap[j, i] -= wij
-    return lap
+        rows[i][i] += wij
+        rows[j][j] += wij
+        rows[i][j] -= wij
+        rows[j][i] -= wij
+    return rows
+
+
+def build_laplacian(topology: Topology, weights) -> np.ndarray:
+    """:func:`laplacian_rows` as a dense symmetric array."""
+    return np.array(laplacian_rows(topology, weights))
 
 
 def build_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarray:

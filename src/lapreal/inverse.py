@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cubic import NoThreeRealRoots, _roots, _spectrum_roots, cubic_discriminant, cubic_real_roots
-from .graphs import COMPLETE_KIND, CYCLE4, KITE, PATH4, STAR, Topology, build_laplacian, complete
+from .graphs import COMPLETE_KIND, CYCLE4, KITE, PATH4, STAR, Topology, complete, laplacian_rows
 from .graphs import UNIT_HIGH, UNIT_LOW, unit_scaled
-from .jacobi import spectrum_numeric
+from .jacobi import spectrum_rows
 from .realizability import CHECKS, MASKS, Certificate, _validate_eigenvalues, _validate_triple
 
 #: clamp band for roundoff-negative weights and quadratic discriminants
@@ -33,15 +33,19 @@ RESIDUAL_TOL = 1e-8
 
 
 class NotRealizable(Exception):
-    """Target outside the topology's region; ``certificate`` is computed on first read."""
+    """Target outside the topology's region; ``certificate`` is computed on first read.
 
-    def __init__(self, certificate: Certificate | None = None, kind=None, triple=None):
-        super().__init__(certificate, kind, triple)
+    Raised as ``NotRealizable(certificate)``, or as ``NotRealizable(None, kind,
+    triple)``, whose certificate is the one ``CHECKS[kind]`` gives for ``triple``.
+    There is no ``__init__``: a raise stores its positional ``args`` and nothing else.
+    """
 
     @functools.cached_property
     def certificate(self) -> Certificate | None:
-        certificate, kind, triple = self.args
-        return certificate if kind is None else CHECKS[kind](triple).certificate
+        if len(self.args) == 3:
+            _, kind, triple = self.args
+            return CHECKS[kind](triple).certificate
+        return self.args[0] if self.args else None
 
     def __str__(self) -> str:
         return self.certificate.detail if self.certificate else "no three real roots"
@@ -69,9 +73,8 @@ class InverseSolution:
     def residual(self) -> float:
         if self.topology.kind != COMPLETE_KIND:
             return _closed_form_residual(self.topology, self.weights, self.target)
-        spec = spectrum_numeric(build_laplacian(self.topology, self.weights))
-        want = np.sort(np.concatenate(([0.0], self.target)))
-        return float(np.max(np.abs(spec - want)))
+        spec = spectrum_rows(laplacian_rows(self.topology, self.weights))
+        return max(abs(g - w) for g, w in zip(spec, sorted((0.0, *self.target))))
 
 
 def _clamp_nonneg(values: tuple[float, ...], scale: float = 1.0) -> tuple[float, ...]:
@@ -121,7 +124,7 @@ def _inverter(topology: Topology, construct):
         if not lo <= total <= hi:
             scaled, e = unit_scaled(triple)
         if not MASKS[kind](*scaled):  # looked up per call, so a replaced entry decides
-            raise NotRealizable(kind=kind, triple=triple)
+            raise NotRealizable(None, kind, triple)
         if not total:
             return InverseSolution(topology, (0.0,) * topology.edge_count, triple)
         weights = construct(scaled)
@@ -268,17 +271,27 @@ def suspend_spectrum(spectrum, c: float) -> np.ndarray:
     """Spectrum of the suspension with uniform new-edge weight ``c``.
 
     The zero eigenvalue stays, every other eigenvalue shifts by ``c`` and
-    one new eigenvalue c*(n+1) appears.
+    one new eigenvalue c*(n+1) appears.  ``spectrum`` must be a Laplacian
+    spectrum: finite, with its smallest entry zero within ``CLAMP_TOL`` of
+    its largest magnitude (a band that scales with it), and none below.
     """
     spec = np.sort(np.asarray(spectrum, dtype=float))
     if spec.size == 0:
         raise ValueError("empty spectrum")
-    if spec[0] > CLAMP_TOL:
+    if not np.isfinite(spec).all():
+        raise ValueError(f"non-finite eigenvalue in {spectrum!r}")
+    band = CLAMP_TOL * np.abs(spec).max()
+    if spec[0] < -band:
+        raise ValueError(f"negative eigenvalue {spec[0]} in a Laplacian spectrum")
+    if spec[0] > band:
         raise ValueError(f"smallest entry {spec[0]} is not a zero eigenvalue")
     if not (math.isfinite(c) and c >= 0):
         raise ValueError(f"suspension weight must be nonnegative and finite, got {c}")
     n = spec.size
-    out = np.concatenate(([0.0], spec[1:] + c, [c * (n + 1)]))
+    with np.errstate(over="ignore"):
+        out = np.concatenate(([0.0], spec[1:] + c, [c * (n + 1)]))
+    if not np.isfinite(out).all():
+        raise ValueError(f"suspension of {spectrum!r} with weight {c} overflows the float range")
     return np.sort(out)
 
 

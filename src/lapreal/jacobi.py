@@ -18,6 +18,13 @@ is ~5x faster at n = 8, ~1.15x at n = 27 and even from n = 28, the measured
 crossover.  It makes the same IEEE operations per entry in the same order, and a
 matrix leaves a stack at the first convergence test it passes, as the float
 sweep returns at it, so every matrix of a stack gets the bits it gets alone.
+
+``spectrum_rows`` takes such a matrix from rows of Python floats to sorted
+eigenvalues with no numpy call: on one K_4 Laplacian the ~12 numpy calls around
+the sweep cost more than the sweep.  It applies the stack's scale rule with
+``math.frexp``/``math.ldexp`` and adds the squares of the Frobenius norm in
+numpy's pairwise order, so its convergence threshold is the stack's float.
+``forward_spectrum`` on K_n, the K_n residual and a stack of one call it.
 """
 
 from __future__ import annotations
@@ -84,6 +91,8 @@ def jacobi_spectra(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray
     if b.ndim != 3 or b.shape[1] != b.shape[2]:
         raise ValueError(f"expected (batch, n, n) stack, got shape {b.shape}")
     batch, n = b.shape[:2]
+    if batch == 1 and n <= FLOAT_SWEEP_MAX_ORDER:
+        return np.array([spectrum_rows(b[0].tolist(), max_sweeps)])
     big = np.abs(b).max(axis=(1, 2), initial=0.0)
     if not np.isfinite(big).all():
         k, i, j = np.argwhere(~np.isfinite(b))[0]
@@ -93,15 +102,72 @@ def jacobi_spectra(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray
     _, upper, lower = _round_robin(n)
     b.reshape(n * n, batch)[lower] = b.reshape(n * n, batch)[upper]
     norms = np.linalg.norm(b, axis=(0, 1))
-    if batch == 1 and n <= FLOAT_SWEEP_MAX_ORDER:
-        diagonal = [_sweep_floats(b[:, :, 0].tolist(), float(OFFDIAG_TOL * norms[0]), max_sweeps)]
-    else:
-        diagonal = _sweep_stack(b, norms, max_sweeps)
+    diagonal = _sweep_stack(b, norms, max_sweeps)
     with np.errstate(over="ignore"):
         diagonal = np.ldexp(diagonal, e[:, None])
     if not np.isfinite(diagonal).all():
         raise ValueError("an eigenvalue overflows the float range")
     return np.sort(diagonal, axis=1)
+
+
+def spectrum_rows(rows: list[list[float]], max_sweeps: int = MAX_SWEEPS) -> list[float]:
+    """Ascending eigenvalues of one symmetric matrix given as rows of Python floats.
+
+    Only the upper triangle is read, and ``rows`` is not changed.  Up to order
+    ``FLOAT_SWEEP_MAX_ORDER`` the float sweep runs with no numpy call; a larger
+    matrix goes to the stack sweep.  The bits are those of ``jacobi_spectra``.
+    """
+    n = len(rows)
+    if n > FLOAT_SWEEP_MAX_ORDER:
+        return jacobi_spectra(np.array(rows)[None], max_sweeps)[0].tolist()
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"expected {n} rows of {n} entries, got lengths {[len(row) for row in rows]}")
+    flat = [v for row in rows for v in row]
+    # a NaN can hide from max, never from a sum
+    if not math.isfinite(sum(map(abs, flat))):
+        for k, v in enumerate(flat):
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite entry {v} in matrix 0 at [{k // n}, {k % n}]")
+    big = max(map(abs, flat), default=0.0)
+    e = 0 if UNIT_LOW <= big <= UNIT_HIGH else math.frexp(big)[1]
+    # the upper triangle mirrored, as a fresh matrix the sweep may overwrite
+    a = [[rows[j][i] for j in range(i)] + rows[i][i:] for i in range(n)]
+    if e:
+        a = [[math.ldexp(v, -e) for v in row] for row in a]
+    norm = math.sqrt(_pairwise_sum([v * v for row in a for v in row]))
+    diagonal = _sweep_floats(a, OFFDIAG_TOL * norm, max_sweeps)
+    if e:
+        try:
+            diagonal = [math.ldexp(v, e) for v in diagonal]
+        except OverflowError:
+            raise ValueError("an eigenvalue overflows the float range") from None
+    out = sorted(diagonal)
+    if 0.0 in out and len({math.copysign(1.0, v) for v in out if not v}) > 1:
+        # -0.0 and 0.0 compare equal, and numpy's sort, the stack's, orders them its own way
+        out = np.sort(diagonal).tolist()
+    return out
+
+
+def _pairwise_sum(a: list[float]) -> float:
+    """``a`` summed in the order of numpy's pairwise ``add.reduce``, so with its bits."""
+    n = len(a)
+    if n < 8:
+        total = 0.0
+        for v in a:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    # eight running sums over the blocks of eight, then the rest one by one
+    m = n - n % 8
+    r = a[:8]
+    for i in range(8, m, 8):
+        r = [u + v for u, v in zip(r, a[i : i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in a[m:]:
+        total += v
+    return total
 
 
 def _sweep_stack(b: np.ndarray, norms: np.ndarray, max_sweeps: int) -> np.ndarray:

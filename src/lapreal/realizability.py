@@ -15,6 +15,11 @@ A mask and its check's certificate share one formula: the star product
 and the path's two sides are each written once, in a private helper
 that both call, and every ``check_*`` is built by ``_checker`` from its
 mask and certificate.
+
+A check pays only for what its caller reads.  A realizable triple gets
+the one shared ``_REALIZABLE`` verdict; a rejected one gets a ``Verdict``
+that holds its certificate function and the scaled triple, and builds the
+certificate, with its ``at scale 2**-e`` suffix, when it is first read.
 """
 
 from __future__ import annotations
@@ -41,10 +46,39 @@ class Certificate:
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Verdict:
+    """A check's answer: ``realizable``, and for a rejection the violated inequality.
+
+    ``Verdict(False, certificate)`` holds a certificate built beforehand.  A
+    rejected ``check_*`` instead returns a verdict that builds its certificate
+    when ``certificate`` is first read, then caches it, as
+    ``NotRealizable.certificate`` does.  Either way it is a frozen value:
+    equality, hash, repr and pickling read the certificate.
+    """
+
     realizable: bool
-    certificate: Optional[Certificate] = None
+    certificate: Optional[Certificate]
+
+    def __init__(self, realizable: bool, certificate: Optional[Certificate] = None):
+        fields = self.__dict__
+        fields["realizable"], fields["certificate"] = realizable, certificate
+
+    def __getattr__(self, name):
+        # reached only while a rejection's certificate is unbuilt: no class
+        # attribute shadows the field, so its first read lands here
+        pending = self.__dict__.pop("_pending", None) if name == "certificate" else None
+        if pending is None:
+            raise AttributeError(name)
+        make, x, y, z, e = pending
+        cert = make(x, y, z)
+        if e:
+            cert = replace(cert, detail=f"{cert.detail} at scale 2**{-e}")
+        self.__dict__["certificate"] = cert
+        return cert
+
+    def __reduce__(self):
+        return Verdict, (self.realizable, self.certificate)
 
 
 def _fmt(v: float) -> str:
@@ -52,8 +86,16 @@ def _fmt(v: float) -> str:
     return format(float(v) + 0.0, ".9g")
 
 
+def _not_numbers(values) -> ValueError:
+    # float(None) and iterating a number raise TypeError; a bad target is a ValueError
+    return ValueError(f"expected a sequence of numbers, got {values!r}")
+
+
 def _validate_triple(values) -> tuple[float, float, float]:
-    vals = tuple(map(float, values))
+    try:
+        vals = tuple(map(float, values))
+    except TypeError:
+        raise _not_numbers(values) from None
     if len(vals) != 3:
         raise ValueError(f"expected a triple, got {len(vals)} entries")
     x, y, z = vals
@@ -71,7 +113,10 @@ def _validate_triple(values) -> tuple[float, float, float]:
 
 def _validate_eigenvalues(values) -> tuple[float, ...]:
     """Target eigenvalues as floats; NaN, inf, a negative entry or an overflowing sum raises."""
-    vals = tuple(map(float, values))
+    try:
+        vals = tuple(map(float, values))
+    except TypeError:
+        raise _not_numbers(values) from None
     if not all(map(math.isfinite, vals)):
         raise ValueError(f"non-finite target eigenvalue in {vals}")
     if any(v < 0 for v in vals):
@@ -180,8 +225,9 @@ _REALIZABLE = Verdict(True)
 
 
 def _checker(name, mask, certificate):
-    """Check ``name``: validate and scale once, run ``mask``, build ``certificate`` on rejection."""
+    """Check ``name``: validate and scale once, run ``mask``, defer ``certificate`` on rejection."""
     lo, hi = UNIT_LOW, UNIT_HIGH  # closure cells: cheaper per call than global lookups
+    new = object.__new__
 
     def check(target) -> Verdict:
         x, y, z = _validate_triple(target)
@@ -191,8 +237,11 @@ def _checker(name, mask, certificate):
             (x, y, z), e = unit_scaled((x, y, z))
         if mask(x, y, z):
             return _REALIZABLE
-        cert = certificate(x, y, z)
-        return Verdict(False, replace(cert, detail=f"{cert.detail} at scale 2**{-e}") if e else cert)
+        # Verdict.__getattr__ builds the certificate from these on its first read
+        verdict = new(Verdict)
+        fields = verdict.__dict__
+        fields["realizable"], fields["_pending"] = False, (certificate, x, y, z, e)
+        return verdict
 
     check.__name__ = check.__qualname__ = name
     return check
@@ -215,7 +264,7 @@ def check_complete(target, n_plus_1: int) -> Verdict:
         raise ValueError(
             f"K_{n_plus_1} expects {n_plus_1 - 1} target eigenvalues, got {len(vals)}"
         )
-    return Verdict(True)
+    return _REALIZABLE
 
 
 CHECKS = {

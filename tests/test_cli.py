@@ -223,6 +223,19 @@ class TestSuspend:
         code, _, err = run(capsys, "suspend", "--spectrum", "1,2", "--c", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spectrum, c",
+        [
+            ("-5,3", "1"),  # printed spectrum=[0,3,4]: -5 was taken as the zero eigenvalue
+            ("0,1e308", "1e308"),  # printed spectrum=[0,inf,inf] with a RuntimeWarning
+            ("2e-10,4e-10", "0"),  # accepted, while 2,4 was rejected
+        ],
+    )
+    def test_not_a_laplacian_spectrum_is_a_usage_error(self, capsys, spectrum, c):
+        code, out, err = run(capsys, "suspend", f"--spectrum={spectrum}", "--c", c)
+        assert code == 2
+        assert out == "" and "RuntimeWarning" not in err
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

@@ -332,6 +332,27 @@ def test_rejection_builds_certificate_on_first_read(monkeypatch, kind):
             calls.clear()
 
 
+def certificate_cell(check):
+    """The closure cell holding the certificate function that ``check`` defers."""
+    return check.__closure__[check.__code__.co_freevars.index("certificate")]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_check_builds_certificate_on_first_read(monkeypatch, kind):
+    calls = counting(monkeypatch, certificate_cell(CHECKS[kind]), "cell_contents")
+    # in range, and 2**100 and 2**-100 times it, out of range: those certificates carry the scale
+    for target in rejected_targets(kind)[:3]:
+        for k in (0, 100, -100):
+            verdict = CHECKS[kind]([math.ldexp(v, k) for v in target])
+            assert not verdict.realizable
+            assert calls == []
+            first, second = verdict.certificate, verdict.certificate
+            assert len(calls) == 1
+            assert first is second
+            assert ("at scale 2**" in first.detail) == (k != 0)
+            calls.clear()
+
+
 def test_solution_equality_ignores_cached_residual():
     a, b = (INVERTERS["cycle"]((1.0, 2.0, 5.0)) for _ in range(2))
     a.residual

@@ -15,6 +15,7 @@ from lapreal.graphs import (
     build_laplacians,
     check_weights,
     complete,
+    laplacian_rows,
     scale_weights,
     unit_scaled,
 )
@@ -121,6 +122,24 @@ class TestBuildLaplacian:
         stacked = build_laplacians(KITE, rows)
         for row, lap in zip(rows, stacked):
             np.testing.assert_array_equal(lap, build_laplacian(KITE, row))
+
+
+class TestLaplacianRows:
+    @pytest.mark.parametrize("topo", ALL_FOUR + [complete(2), complete(7)])
+    def test_rows_of_floats_with_the_batch_bits(self, topo):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            w = rng.uniform(0.0, 4.0, topo.edge_count)
+            w[rng.random(topo.edge_count) < 0.3] = 0.0
+            rows = laplacian_rows(topo, w)
+            assert all(type(v) is float for row in rows for v in row)
+            assert np.array(rows).tobytes() == build_laplacians(topo, w[None])[0].tobytes()
+            assert build_laplacian(topo, w).tobytes() == np.array(rows).tobytes()
+
+    def test_validates_like_build_laplacian(self):
+        for bad in ([1.0, 1.0], [1.0, -1.0, 1.0], [1.0, math.nan, 1.0]):
+            with pytest.raises(ValueError):
+                laplacian_rows(STAR, bad)
 
 
 class TestScaleWeights:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from lapreal.inverse import (
     suspend_spectrum,
 )
 from lapreal.jacobi import spectrum_numeric
-from lapreal.realizability import CHECKS, check_star
+from lapreal.realizability import CHECKS, Certificate, check_star
 
 SQRT2 = math.sqrt(2.0)
 
@@ -45,6 +46,43 @@ def test_overflowing_sum_rejected(invert):
     # invert_kite and invert_cycle ended in a ZeroDivisionError here
     with pytest.raises(ValueError, match="sum overflows"):
         invert((1.5e308, 1e308, 4e307))
+
+
+@pytest.mark.parametrize("invert", [invert_star, invert_cycle, invert_path, invert_kite, invert_complete])
+@pytest.mark.parametrize("bad", [None, 5.0, [1.0, None], [1.0, None, 2.0]])
+def test_target_that_is_not_numbers_rejected(invert, bad):
+    # invert_complete([1, None]) and the four-vertex inverses ended in a TypeError
+    with pytest.raises(ValueError):
+        invert(bad)
+
+
+class TestNotRealizable:
+    CERT = Certificate("star-length-cubic", -1.5, "length cubic has complex roots")
+
+    @pytest.mark.parametrize("kind", ["star", "cycle", "path", "kite"])
+    def test_raised_with_kind_and_triple(self, kind):
+        triple = (0.3, 0.32, 0.38)
+        with pytest.raises(NotRealizable) as info:
+            inverse.INVERTERS[kind](triple)
+        exc = info.value
+        assert exc.args == (None, kind, triple)
+        want = CHECKS[kind](triple).certificate
+        # pickled before and after the certificate is first read
+        for _ in range(2):
+            fresh = pickle.loads(pickle.dumps(exc))
+            assert fresh.args == exc.args
+            assert fresh.certificate == want and str(fresh) == want.detail
+            assert exc.certificate == want and str(exc) == want.detail
+
+    def test_one_argument_form(self):
+        exc = NotRealizable(self.CERT)
+        assert exc.certificate is self.CERT and str(exc) == self.CERT.detail
+        fresh = pickle.loads(pickle.dumps(exc))
+        assert fresh.certificate == self.CERT and str(fresh) == self.CERT.detail
+
+    def test_without_certificate(self):
+        for exc in (NotRealizable(), NotRealizable(None)):
+            assert exc.certificate is None and str(exc) == "no three real roots"
 
 
 @pytest.mark.parametrize("kind", ["star", "cycle", "path", "kite"])
@@ -245,6 +283,39 @@ class TestSuspendSpectrum:
         with pytest.raises(ValueError):
             suspend_spectrum([0.0, 2.0], -1.0)
 
+    def test_rejects_negative_entry(self):
+        # -5 was taken as the zero eigenvalue: [-5, 3] with c = 1 gave [0, 3, 4]
+        with pytest.raises(ValueError, match="negative"):
+            suspend_spectrum([-5.0, 3.0], 1.0)
+        with pytest.raises(ValueError, match="negative"):
+            suspend_spectrum([0.0, -1e-3, 3.0], 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        # [0, nan] with c = 1 gave a NaN spectrum
+        with pytest.raises(ValueError, match="non-finite"):
+            suspend_spectrum([0.0, bad], 1.0)
+
+    def test_rejects_overflow(self):
+        # [0, 1e308] with c = 1e308 gave [0, inf, inf] and a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                suspend_spectrum([0.0, 1e308], 1e308)
+            with pytest.raises(ValueError, match="overflows"):
+                suspend_spectrum([0.0, 1.0, 1.0], 1e308)
+
+    @pytest.mark.parametrize("exponent", range(-300, 301, 50))
+    def test_zero_band_is_scale_free(self, exponent):
+        # the band was an absolute 1e-9: [2e-10, 4e-10] passed, [2, 4] did not
+        scale = 10.0**exponent
+        with pytest.raises(ValueError, match="not a zero eigenvalue"):
+            suspend_spectrum([2.0 * scale, 4.0 * scale], 0.0)
+        # a roundoff zero, of either sign, passes at every scale
+        for tiny in (1e-12, -1e-12):
+            out = suspend_spectrum([tiny * scale, 2.0 * scale], scale)
+            np.testing.assert_allclose(out, np.array([0.0, 3.0, 3.0]) * scale, rtol=1e-12)
+
     @pytest.mark.parametrize("c", [math.nan, math.inf])
     def test_rejects_non_finite_weight(self, c):
         # used to return a spectrum of NaN or inf entries
@@ -286,15 +357,15 @@ class TestInvertComplete:
 
     def test_residual_above_tolerance_raises(self, monkeypatch):
         # a spectrum that misses the target must not come back as realizable
-        monkeypatch.setattr(inverse, "spectrum_numeric", lambda m: np.sort(np.diag(m)))
+        monkeypatch.setattr(inverse, "spectrum_rows", lambda rows: sorted(r[i] for i, r in enumerate(rows)))
         with pytest.raises(InternalInfeasible, match="residual"):
             invert_complete((6.0, 3.0, 2.0))
 
     def test_residual_computed_in_the_call(self, monkeypatch):
         # the residual gate needs it, so it is computed before the return
         calls = []
-        original = inverse.spectrum_numeric
-        monkeypatch.setattr(inverse, "spectrum_numeric", lambda m: calls.append(m) or original(m))
+        original = inverse.spectrum_rows
+        monkeypatch.setattr(inverse, "spectrum_rows", lambda rows: calls.append(rows) or original(rows))
         sol = invert_complete((6.0, 3.0, 2.0))
         assert len(calls) == 1
         assert sol.residual <= 1e-8

@@ -1,19 +1,24 @@
 """Round-robin Jacobi eigensolver."""
 
+import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from lapreal import forward_spectrum
+from lapreal import forward_spectrum, invert_complete
 from lapreal.graphs import CYCLE4, KITE, PATH4, STAR, build_laplacian, build_laplacians, complete
+from lapreal.graphs import laplacian_rows
 from lapreal import jacobi
 from lapreal.jacobi import (
     FLOAT_SWEEP_MAX_ORDER,
+    OFFDIAG_TOL,
     JacobiNonConvergence,
     _round_robin,
     jacobi_spectra,
     spectrum_numeric,
+    spectrum_rows,
 )
 
 
@@ -312,6 +317,114 @@ class TestFloatSweepParity:
         m[2, 3] = m[3, 2] = bad
         with pytest.raises(ValueError, match=r"non-finite entry .* in matrix 0 at \[2, 3\]"):
             jacobi_spectra(m[None])
+
+
+def stack_sweep(m):
+    # m as half of a stack takes the array sweep, the float route's reference
+    return jacobi_spectra(np.stack([m, m]))[0]
+
+
+class NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} called")
+
+
+class TestSpectrumRows:
+    """One matrix from rows of Python floats to sorted eigenvalues, with no numpy call."""
+
+    @pytest.mark.parametrize("n", range(2, FLOAT_SWEEP_MAX_ORDER + 1))
+    def test_complete_spectra_have_the_stack_bits(self, n):
+        topo = complete(n)
+        rng = np.random.default_rng([97, n])
+        for exponent in (-150, 0, 150):
+            weights = rng.uniform(0.0, 4.0, topo.edge_count) * 10.0**exponent
+            weights[rng.random(topo.edge_count) < 0.2] = 0.0
+            lap = build_laplacian(topo, weights)
+            want = stack_sweep(lap)
+            assert spectrum_numeric(lap).tobytes() == want.tobytes()
+            assert np.array(spectrum_rows(laplacian_rows(topo, weights))).tobytes() == want.tobytes()
+            zeroed = np.where(np.abs(want) <= OFFDIAG_TOL * np.abs(want).max(), 0.0, want)
+            assert forward_spectrum(topo, weights).tobytes() == zeroed.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 14])
+    def test_complete_residual_has_the_stack_bits(self, n):
+        rng = np.random.default_rng([99, n])
+        target = rng.uniform(0.0, 5.0, n - 1)
+        target[0] = 0.0
+        sol = invert_complete(target)
+        spec = stack_sweep(build_laplacian(sol.topology, sol.weights))
+        want = float(np.max(np.abs(spec - np.sort(np.concatenate(([0.0], target))))))
+        assert sol.residual.hex() == want.hex()
+
+    def test_order_above_the_crossover_takes_the_stack(self, monkeypatch):
+        def no_float_sweep(*args):
+            raise AssertionError("float sweep")
+
+        monkeypatch.setattr(jacobi, "_sweep_floats", no_float_sweep)
+        topo = complete(FLOAT_SWEEP_MAX_ORDER + 1)
+        weights = np.random.default_rng(5).uniform(0.0, 4.0, topo.edge_count)
+        want = stack_sweep(build_laplacian(topo, weights))
+        assert spectrum_rows(laplacian_rows(topo, weights)) == want.tolist()
+        assert forward_spectrum(topo, weights)[1:].tobytes() == want[1:].tobytes()
+        with pytest.raises(AssertionError, match="float sweep"):
+            forward_spectrum(complete(FLOAT_SWEEP_MAX_ORDER), np.ones(complete(FLOAT_SWEEP_MAX_ORDER).edge_count))
+
+    def test_no_numpy_call(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        mats = {}
+        for n in range(1, FLOAT_SWEEP_MAX_ORDER + 1):
+            a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-200, 200)
+            mats[n] = (a + a.T).tolist()
+            spectrum_rows(mats[n])  # caches the order's schedule, which numpy builds
+        monkeypatch.setattr(jacobi, "np", NoNumpy())
+        for rows in mats.values():
+            spectrum_rows(rows)
+
+    def test_rows_unchanged_and_lower_triangle_unread(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 5, 12):
+            a = rng.standard_normal((n, n))
+            upper = (np.triu(a) + np.triu(a, 1).T).tolist()
+            skewed = (np.triu(a) + np.tril(a.T * (1.0 + 1e-13), -1)).tolist()
+            before = copy.deepcopy(skewed)
+            assert spectrum_rows(skewed) == spectrum_rows(upper)
+            assert skewed == before
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_named(self, bad):
+        rows = [[1.0] * 5 for _ in range(5)]
+        rows[3][2] = bad  # in the lower triangle, which the sweep never reads
+        with pytest.raises(ValueError, match=r"non-finite entry .* in matrix 0 at \[3, 2\]"):
+            spectrum_rows(rows)
+
+    def test_rejects_rows_that_are_not_square(self):
+        for rows in ([[1.0, 2.0], [2.0]], [[1.0], [2.0, 3.0]], [[1.0, 2.0, 3.0]]):
+            with pytest.raises(ValueError, match="rows of"):
+                spectrum_rows(rows)
+
+    def test_overflowing_laplacian_named(self):
+        # K_3 with weights 1e308 has degree 2e308 = inf on its diagonal
+        with pytest.raises(ValueError, match=r"non-finite entry inf in matrix 0 at \[0, 0\]"):
+            forward_spectrum(complete(3), [1e308] * 3)
+
+    @pytest.mark.parametrize("n", range(2, FLOAT_SWEEP_MAX_ORDER + 1))
+    def test_mixed_signed_zeros_sorted_as_the_stack(self, n):
+        # -0.0 == 0.0, and numpy's sort places the two its own way
+        rng = np.random.default_rng([103, n])
+        for _ in range(10):
+            diag = rng.choice([0.0, -0.0, 1.0, -1.0], n)
+            diag[:2] = 0.0, -0.0
+            m = np.diag(rng.permutation(diag))
+            assert spectrum_numeric(m).tobytes() == stack_sweep(m).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, FLOAT_SWEEP_MAX_ORDER + 1))
+    def test_norm_has_numpy_bits(self, n):
+        # the convergence threshold is OFFDIAG_TOL times this norm
+        rng = np.random.default_rng([107, n])
+        for _ in range(20):
+            m = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-10, 10, (n, n))
+            want = np.linalg.norm(m[:, :, None], axis=(0, 1))[0]
+            assert math.sqrt(jacobi._pairwise_sum((m * m).ravel().tolist())) == want
 
 
 #: sweeps needed by each of 40 K_n Laplacians, weights default_rng([2, n]), before

@@ -1,16 +1,20 @@
 """Closed-form realizability predicates."""
 
+import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lapreal import realizability
 from lapreal.realizability import (
     CHECKS,
     MASKS,
+    Verdict,
     check_complete,
     check_cycle,
     check_kite,
@@ -136,6 +140,66 @@ class TestCheckKite:
         # exact agreement away from the boundary band
         band = np.abs(hi - ratio * lo) < 1e-9 * (x + y + z)
         assert np.array_equal(got[~band], want[~band])
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS)
+@pytest.mark.parametrize("bad", [None, 5.0, [1.0, None, 2.0], [1.0, "x", 2.0]])
+def test_target_that_is_not_numbers_rejected(check, bad):
+    # None, a bare number and a None entry ended in a TypeError
+    with pytest.raises(ValueError):
+        check(bad)
+
+
+@pytest.mark.parametrize("bad", [None, 5.0, [1.0, None]])
+def test_complete_target_that_is_not_numbers_rejected(bad):
+    with pytest.raises(ValueError):
+        check_complete(bad, 3)
+
+
+def rejected(check, k):
+    # one rejected triple of every check, times 2**k; out of range, the certificate carries the scale
+    return check([math.ldexp(v, k) for v in (0.3, 0.32, 0.38)])
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS)
+@pytest.mark.parametrize("k", [0, 200])
+class TestVerdictValue:
+    def test_lazy_rejection_equals_eager(self, check, k):
+        eager = Verdict(False, rejected(check, k).certificate)
+        lazy = rejected(check, k)
+        assert "certificate" not in vars(lazy)
+        assert lazy == eager and eager == rejected(check, k)
+        assert hash(rejected(check, k)) == hash(eager)
+        assert repr(rejected(check, k)) == repr(eager)
+        assert ("at scale 2**" in eager.certificate.detail) == (k != 0)
+        assert lazy != Verdict(False) and lazy != realizability._REALIZABLE
+
+    def test_frozen(self, check, k):
+        for verdict in (rejected(check, k), Verdict(False, rejected(check, k).certificate)):
+            for _ in range(2):  # before and after the certificate is read
+                for name in ("realizable", "certificate"):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(verdict, name, None)
+                assert verdict.certificate is not None
+
+    def test_pickles_with_its_certificate(self, check, k):
+        want = rejected(check, k).certificate
+        for verdict in (rejected(check, k), Verdict(False, want)):
+            fresh = pickle.loads(pickle.dumps(verdict))
+            assert type(fresh) is Verdict and vars(fresh) == {"realizable": False, "certificate": want}
+            assert fresh == verdict and hash(fresh) == hash(verdict)
+
+    def test_other_attributes_missing(self, check, k):
+        verdict = rejected(check, k)
+        assert not hasattr(verdict, "_pending_") and not hasattr(verdict, "detail")
+        assert dataclasses.replace(verdict, realizable=True) == Verdict(True, verdict.certificate)
+
+
+def test_realizable_verdicts_are_shared():
+    assert Verdict(True) == realizability._REALIZABLE and Verdict(True).certificate is None
+    assert check_complete((6.0, 3.0, 2.0), 4) is realizability._REALIZABLE
+    for check in ALL_CHECKS:
+        assert check((0.0, 0.0, 0.0)) is realizability._REALIZABLE
 
 
 class TestCheckComplete:
