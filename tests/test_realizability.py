@@ -191,7 +191,10 @@ class TestVerdictValue:
 
     def test_other_attributes_missing(self, check, k):
         verdict = rejected(check, k)
-        assert not hasattr(verdict, "_pending_") and not hasattr(verdict, "detail")
+        # only the certificate is built on demand; any other missing name is an AttributeError
+        assert not hasattr(verdict, "detail")
+        verdict.certificate
+        assert set(vars(verdict)) == {"realizable", "certificate"}
         assert dataclasses.replace(verdict, realizable=True) == Verdict(True, verdict.certificate)
 
 
