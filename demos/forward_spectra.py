@@ -2,8 +2,8 @@
 
 Every supported topology carries a fixed edge ordering, and its spectrum
 can be computed two independent ways: the closed-form cubic for the
-three nonzero slots, and the round-robin Jacobi eigensolver applied to the
-built matrix.  This script builds a few graphs, compares the routes and
+three nonzero slots, and the eigenvalues of the built matrix
+(``spectrum_numeric``, LAPACK's symmetric eigensolver).  This script builds a few graphs, compares the routes and
 demonstrates the scaling law.
 
 Run:  python3 demos/forward_spectra.py
@@ -28,7 +28,7 @@ print("== unit star ==")
 lap = build_laplacian(STAR, (1.0, 1.0, 1.0))
 print("Laplacian:\n", lap)
 print("cubic route:", forward_spectrum(STAR, (1.0, 1.0, 1.0)))
-print("jacobi route:", spectrum_numeric(lap))
+print("matrix route:", spectrum_numeric(lap))
 
 print("\n== the five topologies with mixed weights ==")
 examples = [

@@ -26,7 +26,6 @@ from .graphs import (
     build_laplacian,
     complete,
     float_weights,
-    laplacian_rows,
     scale_weights,
 )
 from .inverse import (
@@ -40,7 +39,7 @@ from .inverse import (
     invert_star,
     suspend_spectrum,
 )
-from .jacobi import OFFDIAG_TOL, spectrum_numeric, spectrum_rows
+from .jacobi import OFFDIAG_TOL, spectrum_numeric
 from .oracle import (
     FractionEstimate,
     SamplerConfig,
@@ -106,13 +105,13 @@ def forward_spectrum(topology: Topology, weights) -> np.ndarray:
     """Full sorted Laplacian spectrum of a weighted topology.
 
     Four-vertex graphs go through the closed-form cubic, complete graphs
-    through the Jacobi eigensolver (``jacobi.spectrum_rows`` on the
-    Laplacian's float rows); both scale by ``graphs.unit_scaled``.
+    through LAPACK (``jacobi.spectrum_numeric``); both scale by
+    ``graphs.unit_scaled``'s rule.  On K_n an eigenvalue within
+    ``OFFDIAG_TOL`` of the largest magnitude is returned as an exact 0.0.
     """
     if topology.kind == "complete":
-        spec = spectrum_rows(laplacian_rows(topology, weights))
-        tol = OFFDIAG_TOL * max(map(abs, spec))
-        return np.array([0.0 if abs(v) <= tol else v for v in spec])
+        spec = spectrum_numeric(build_laplacian(topology, weights))
+        return np.where(np.abs(spec) <= OFFDIAG_TOL * np.abs(spec).max(), 0.0, spec)
     w = float_weights(topology, weights)
     try:
         roots = _spectrum_roots(topology.kind, w)

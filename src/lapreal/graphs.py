@@ -99,11 +99,11 @@ def check_weights(topology: Topology, weights) -> np.ndarray:
     return np.array(float_weights(topology, weights))
 
 
-def laplacian_rows(topology: Topology, weights) -> list[list[float]]:
-    """Weighted (degree minus adjacency) Laplacian as rows of Python floats.
+def build_laplacian(topology: Topology, weights) -> np.ndarray:
+    """Weighted (degree minus adjacency) Laplacian as a dense symmetric array.
 
     Rows sum to zero by construction; zero weights are allowed and act as
-    deleted edges.
+    deleted edges.  A degree past the float range raises, naming its vertex.
     """
     w = float_weights(topology, weights)
     n = topology.order
@@ -113,12 +113,10 @@ def laplacian_rows(topology: Topology, weights) -> list[list[float]]:
         rows[j][j] += wij
         rows[i][j] -= wij
         rows[j][i] -= wij
-    return rows
-
-
-def build_laplacian(topology: Topology, weights) -> np.ndarray:
-    """:func:`laplacian_rows` as a dense symmetric array."""
-    return np.array(laplacian_rows(topology, weights))
+    for v in range(n):
+        if rows[v][v] == math.inf:
+            raise ValueError(f"degree of vertex {v} overflows the float range")
+    return np.array(rows)
 
 
 def build_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarray:

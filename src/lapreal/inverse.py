@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cubic import NoThreeRealRoots, _roots, _spectrum_roots, cubic_discriminant, cubic_real_roots
-from .graphs import COMPLETE_KIND, CYCLE4, KITE, PATH4, STAR, Topology, complete, laplacian_rows
+from .graphs import COMPLETE_KIND, CYCLE4, KITE, PATH4, STAR, Topology, build_laplacian, complete
 from .graphs import UNIT_HIGH, UNIT_LOW, unit_scaled
-from .jacobi import spectrum_rows
+from .jacobi import spectrum_numeric
 from .realizability import CHECKS, MASKS, Certificate, _validate_eigenvalues, _validate_triple
 
 #: clamp band for roundoff-negative weights and quadratic discriminants
@@ -73,8 +73,8 @@ class InverseSolution:
     def residual(self) -> float:
         if self.topology.kind != COMPLETE_KIND:
             return _closed_form_residual(self.topology, self.weights, self.target)
-        spec = spectrum_rows(laplacian_rows(self.topology, self.weights))
-        return max(abs(g - w) for g, w in zip(spec, sorted((0.0, *self.target))))
+        spec = spectrum_numeric(build_laplacian(self.topology, self.weights))
+        return float(np.abs(spec - np.sort((0.0, *self.target))).max())
 
 
 def _clamp_nonneg(values: tuple[float, ...], scale: float = 1.0) -> tuple[float, ...]:

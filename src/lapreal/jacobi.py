@@ -9,22 +9,15 @@ and a_pq becomes 0; each 2x2 block between pairs i < j is rotated once, rows
 by pair i, then columns by pair j, and mirrored, so only the upper triangle of
 the input is read; at odd n the unpaired index's entries get each pair's columns.
 
-Two sweeps run it.  A stack is held as one ``(n, n, batch)`` array, so each
-entry is a contiguous batch vector and a step is ~45 numpy calls whatever the
-batch.  One matrix of order up to ``FLOAT_SWEEP_MAX_ORDER`` is swept on Python
-floats instead: a numpy call costs microseconds however few entries it touches,
-while the float loop pays per entry.  On single K_n Laplacians the float sweep
-is ~5x faster at n = 8, ~1.15x at n = 27 and even from n = 28, the measured
-crossover.  It makes the same IEEE operations per entry in the same order, and a
-matrix leaves a stack at the first convergence test it passes, as the float
-sweep returns at it, so every matrix of a stack gets the bits it gets alone.
+A stack is held as one ``(n, n, batch)`` array, so each entry is a contiguous
+batch vector and a step is ~45 numpy calls whatever the batch.  A matrix leaves
+the stack at the first convergence test it passes, so every matrix of a stack
+gets the bits it gets in a stack of its own.
 
-``spectrum_rows`` takes such a matrix from rows of Python floats to sorted
-eigenvalues with no numpy call: on one K_4 Laplacian the ~12 numpy calls around
-the sweep cost more than the sweep.  It applies the stack's scale rule with
-``math.frexp``/``math.ldexp`` and adds the squares of the Frobenius norm in
-numpy's pairwise order, so its convergence threshold is the stack's float.
-``forward_spectrum`` on K_n, the K_n residual and a stack of one call it.
+One matrix goes to LAPACK instead: ``spectrum_numeric`` scales it by the same
+rule and calls ``np.linalg.eigvalsh`` on its upper triangle.  ``forward_spectrum``
+on K_n and the K_n residual call it; the stack sweep stays their independent
+reference in the test suite.
 """
 
 from __future__ import annotations
@@ -42,19 +35,14 @@ OFFDIAG_TOL = 1e-12
 
 MAX_SWEEPS = 100
 
-#: largest order of a single matrix swept on Python floats (the measured crossover)
-FLOAT_SWEEP_MAX_ORDER = 27
-
 
 class JacobiNonConvergence(RuntimeError):
     """The sweep limit was hit before the off-diagonal mass vanished."""
 
 
 class _Step(NamedTuple):
-    """One step of a sweep: disjoint pairs p < q, and the flat indices row * n + col it reads."""
+    """One step of a sweep: the flat indices row * n + col it reads for its disjoint pairs p < q."""
 
-    pairs: tuple[tuple[int, int], ...]
-    odd: tuple[int, ...]  # the index left unpaired at odd n
     diag: np.ndarray  # (4, pairs): pp, qq, pq and qp
     rows: np.ndarray  # (blocks,): the pair i of each block, i < j
     cols: np.ndarray  # (segments,): the pair j of each segment
@@ -76,11 +64,10 @@ def _round_robin(n: int) -> tuple[tuple[_Step, ...], np.ndarray, np.ndarray]:
         cols = np.concatenate((np.repeat(j, 2), np.tile(np.arange(p.size), odd.size)))
         pq = np.stack((p[cols], q[cols]), axis=1)
         diag = np.stack((p * (n + 1), q * (n + 1), p * n + q, q * n + p))
-        steps.append(_Step(tuple(zip(p.tolist(), q.tolist())), tuple(odd.tolist()), diag, i, cols,
-                           r[:, None] * n + pq, pq * n + r[:, None]))
+        steps.append(_Step(diag, i, cols, r[:, None] * n + pq, pq * n + r[:, None]))
         ring[1:] = np.roll(ring[1:], 1)
     i, j = np.triu_indices(n, 1)
-    for a in (upper := i * n + j, lower := j * n + i, *(a for step in steps for a in step[2:])):
+    for a in (upper := i * n + j, lower := j * n + i, *(a for step in steps for a in step)):
         a.flags.writeable = False
     return tuple(steps), upper, lower
 
@@ -91,8 +78,6 @@ def jacobi_spectra(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray
     if b.ndim != 3 or b.shape[1] != b.shape[2]:
         raise ValueError(f"expected (batch, n, n) stack, got shape {b.shape}")
     batch, n = b.shape[:2]
-    if batch == 1 and n <= FLOAT_SWEEP_MAX_ORDER:
-        return np.array([spectrum_rows(b[0].tolist(), max_sweeps)])
     big = np.abs(b).max(axis=(1, 2), initial=0.0)
     if not np.isfinite(big).all():
         k, i, j = np.argwhere(~np.isfinite(b))[0]
@@ -110,74 +95,13 @@ def jacobi_spectra(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray
     return np.sort(diagonal, axis=1)
 
 
-def spectrum_rows(rows: list[list[float]], max_sweeps: int = MAX_SWEEPS) -> list[float]:
-    """Ascending eigenvalues of one symmetric matrix given as rows of Python floats.
-
-    Only the upper triangle is read, and ``rows`` is not changed.  Up to order
-    ``FLOAT_SWEEP_MAX_ORDER`` the float sweep runs with no numpy call; a larger
-    matrix goes to the stack sweep.  The bits are those of ``jacobi_spectra``.
-    """
-    n = len(rows)
-    if n > FLOAT_SWEEP_MAX_ORDER:
-        return jacobi_spectra(np.array(rows)[None], max_sweeps)[0].tolist()
-    if any(len(row) != n for row in rows):
-        raise ValueError(f"expected {n} rows of {n} entries, got lengths {[len(row) for row in rows]}")
-    flat = [v for row in rows for v in row]
-    # a NaN can hide from max, never from a sum
-    if not math.isfinite(sum(map(abs, flat))):
-        for k, v in enumerate(flat):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite entry {v} in matrix 0 at [{k // n}, {k % n}]")
-    big = max(map(abs, flat), default=0.0)
-    e = 0 if UNIT_LOW <= big <= UNIT_HIGH else math.frexp(big)[1]
-    # the upper triangle mirrored, as a fresh matrix the sweep may overwrite
-    a = [[rows[j][i] for j in range(i)] + rows[i][i:] for i in range(n)]
-    if e:
-        a = [[math.ldexp(v, -e) for v in row] for row in a]
-    norm = math.sqrt(_pairwise_sum([v * v for row in a for v in row]))
-    diagonal = _sweep_floats(a, OFFDIAG_TOL * norm, max_sweeps)
-    if e:
-        try:
-            diagonal = [math.ldexp(v, e) for v in diagonal]
-        except OverflowError:
-            raise ValueError("an eigenvalue overflows the float range") from None
-    out = sorted(diagonal)
-    if 0.0 in out and len({math.copysign(1.0, v) for v in out if not v}) > 1:
-        # -0.0 and 0.0 compare equal, and numpy's sort, the stack's, orders them its own way
-        out = np.sort(diagonal).tolist()
-    return out
-
-
-def _pairwise_sum(a: list[float]) -> float:
-    """``a`` summed in the order of numpy's pairwise ``add.reduce``, so with its bits."""
-    n = len(a)
-    if n < 8:
-        total = 0.0
-        for v in a:
-            total += v
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
-    # eight running sums over the blocks of eight, then the rest one by one
-    m = n - n % 8
-    r = a[:8]
-    for i in range(8, m, 8):
-        r = [u + v for u, v in zip(r, a[i : i + 8])]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in a[m:]:
-        total += v
-    return total
-
-
 def _sweep_stack(b: np.ndarray, norms: np.ndarray, max_sweeps: int) -> np.ndarray:
     """Sweep the symmetric ``(n, n, batch)`` array ``b`` in place; its ``(batch, n)`` diagonal.
 
-    A matrix retires at the first convergence test it passes, as ``_sweep_floats``
-    returns at it, so it gets the bits it gets alone: its diagonal is put aside
-    then and written back at the end.  It goes on rotating, unread, in its column;
-    compacting the stack instead costs fresh arrays whose page faults outweigh the
-    rotations saved.
+    A matrix retires at the first convergence test it passes, so it gets the bits
+    it gets alone: its diagonal is put aside then and written back at the end.  It
+    goes on rotating, unread, in its column; compacting the stack instead costs
+    fresh arrays whose page faults outweigh the rotations saved.
     """
     n, _, batch = b.shape
     flat = b.reshape(n * n, batch)
@@ -223,58 +147,28 @@ def _sweep_stack(b: np.ndarray, norms: np.ndarray, max_sweeps: int) -> np.ndarra
     raise JacobiNonConvergence(f"no convergence after {max_sweeps} sweeps")
 
 
-def _sweep_floats(a: list[list[float]], threshold: float, max_sweeps: int) -> list[float]:
-    """Sweep one symmetric matrix held as rows of Python floats in place; its diagonal.
+def spectrum_numeric(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of one symmetric matrix: LAPACK's ``eigvalsh`` on its upper triangle.
 
-    Each entry gets the operations of ``_sweep_stack`` in the same order.
+    Only the upper triangle is read, once the matrix passes the symmetry test
+    (to 1e-12 of its largest entry).  It is scaled by ``jacobi_spectra``'s rule
+    for the call and its eigenvalues scaled back, so none over- or underflows
+    on the way.
     """
-    n = len(a)
-    steps = _round_robin(n)[0]
-    copysign, sqrt = math.copysign, math.sqrt
-    for _ in range(max_sweeps):
-        off = max((abs(v) for i, row in enumerate(a) for v in row[i + 1 :]), default=0.0)
-        if not off > threshold:
-            return [a[i][i] for i in range(n)]
-        for step in steps:
-            turns = []
-            for p, q in step.pairs:
-                app, aqq, apq = a[p][p], a[q][q], a[p][q]
-                diff, den = aqq - app, 2.0 * apq
-                if den:
-                    theta = diff / den
-                    t = copysign(1.0 / (abs(theta) + sqrt(theta * theta + 1.0)), theta)
-                else:
-                    # numpy's diff / ±0 is ±inf, giving t = ±0.0; its 0 / 0 is nan, reset to 0.0
-                    t = copysign(0.0, diff) * copysign(1.0, den) if diff else 0.0
-                c = 1.0 / sqrt(t * t + 1.0)
-                a[p][p], a[q][q] = app - t * apq, aqq + t * apq
-                a[p][q] = a[q][p] = 0.0
-                turns.append((p, q, c, t * c))
-            for k, (p, q, c, s) in enumerate(turns):
-                rp, rq = a[p], a[q]
-                for pj, qj, cj, sj in turns[k + 1 :]:
-                    w, x, y, z = rp[pj], rp[qj], rq[pj], rq[qj]
-                    w, y = c * w - s * y, s * w + c * y
-                    x, z = c * x - s * z, s * x + c * z
-                    rp[pj] = a[pj][p] = cj * w - sj * x
-                    rp[qj] = a[qj][p] = sj * w + cj * x
-                    rq[pj] = a[pj][q] = cj * y - sj * z
-                    rq[qj] = a[qj][q] = sj * y + cj * z
-            for u in step.odd:
-                for p, q, c, s in turns:
-                    x, y = a[u][p], a[u][q]
-                    a[u][p] = a[p][u] = c * x - s * y
-                    a[u][q] = a[q][u] = s * x + c * y
-    raise JacobiNonConvergence(f"no convergence after {max_sweeps} sweeps")
-
-
-def spectrum_numeric(mat: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
-    """Full sorted spectrum of one symmetric matrix via round-robin Jacobi."""
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    # a non-finite entry is left to jacobi_spectra, which names it; the
-    # tolerance scales with the largest entry, so it holds at any scale
-    if np.isfinite(m).all() and np.abs(m - m.T).max() > 1e-12 * np.abs(m).max():
+    big = np.abs(m).max()
+    if not np.isfinite(big):
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise ValueError(f"non-finite entry {m[i, j]} in matrix 0 at [{i}, {j}]")
+    # the tolerance scales with the largest entry, so it holds at any scale
+    if np.abs(m - m.T).max() > 1e-12 * big:
         raise ValueError("matrix is not symmetric")
-    return jacobi_spectra(m[None, :, :], max_sweeps=max_sweeps)[0]
+    e = 0 if UNIT_LOW <= big <= UNIT_HIGH else math.frexp(big)[1]
+    spec = np.linalg.eigvalsh(np.ldexp(m, -e), UPLO="U")
+    with np.errstate(over="ignore"):
+        spec = np.ldexp(spec, e)
+    if not np.isfinite(spec).all():
+        raise ValueError("an eigenvalue overflows the float range")
+    return spec

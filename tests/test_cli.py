@@ -82,6 +82,18 @@ class TestEigs:
         assert code == 2
         assert "overflows the float range" in err
 
+    @pytest.mark.parametrize(
+        "graph, weights, vertex",
+        [("kn", "1e308,1e308,1e308", 0), ("k4", "0,0,1e308,0,1,1e308", 3)],
+    )
+    def test_complete_degree_overflow_names_the_vertex(self, capsys, graph, weights, vertex):
+        # exited 2 with "non-finite entry inf in matrix 0 at [0, 0]", an entry
+        # the user never gave
+        code, out, err = run(capsys, "eigs", "--graph", graph, "--weights", weights)
+        assert code == 2
+        assert out == ""
+        assert f"error: degree of vertex {vertex} overflows the float range\n" in err
+
 
 class TestCheck:
     def test_cycle_reject_certificate(self, capsys):

@@ -15,7 +15,6 @@ from lapreal.graphs import (
     build_laplacians,
     check_weights,
     complete,
-    laplacian_rows,
     scale_weights,
     unit_scaled,
 )
@@ -125,21 +124,35 @@ class TestBuildLaplacian:
 
 
 class TestLaplacianRows:
+    """``build_laplacian``, which adds the weights on rows of Python floats.
+
+    The class is named for ``laplacian_rows``, the rows builder folded into it.
+    """
+
     @pytest.mark.parametrize("topo", ALL_FOUR + [complete(2), complete(7)])
     def test_rows_of_floats_with_the_batch_bits(self, topo):
         rng = np.random.default_rng(13)
         for _ in range(20):
             w = rng.uniform(0.0, 4.0, topo.edge_count)
             w[rng.random(topo.edge_count) < 0.3] = 0.0
-            rows = laplacian_rows(topo, w)
-            assert all(type(v) is float for row in rows for v in row)
-            assert np.array(rows).tobytes() == build_laplacians(topo, w[None])[0].tobytes()
-            assert build_laplacian(topo, w).tobytes() == np.array(rows).tobytes()
+            lap = build_laplacian(topo, w)
+            assert lap.dtype == float and lap.shape == (topo.order, topo.order)
+            assert lap.tobytes() == build_laplacians(topo, w[None])[0].tobytes()
 
     def test_validates_like_build_laplacian(self):
         for bad in ([1.0, 1.0], [1.0, -1.0, 1.0], [1.0, math.nan, 1.0]):
             with pytest.raises(ValueError):
-                laplacian_rows(STAR, bad)
+                build_laplacian(STAR, bad)
+
+    @pytest.mark.parametrize(
+        "topo, weights, vertex",
+        [(complete(3), [1e308] * 3, 0), (complete(3), [1.0, 1e308, 1e308], 2), (STAR, [1e308] * 3, 3)],
+    )
+    def test_degree_overflow_names_the_vertex(self, topo, weights, vertex):
+        # the degree 2e308 came out as inf, named later as "non-finite entry inf
+        # in matrix 0 at [0, 0]", an entry that is no weight
+        with pytest.raises(ValueError, match=rf"^degree of vertex {vertex} overflows the float range$"):
+            build_laplacian(topo, weights)
 
 
 class TestScaleWeights:

@@ -357,15 +357,15 @@ class TestInvertComplete:
 
     def test_residual_above_tolerance_raises(self, monkeypatch):
         # a spectrum that misses the target must not come back as realizable
-        monkeypatch.setattr(inverse, "spectrum_rows", lambda rows: sorted(r[i] for i, r in enumerate(rows)))
+        monkeypatch.setattr(inverse, "spectrum_numeric", lambda lap: np.sort(np.diag(lap)))
         with pytest.raises(InternalInfeasible, match="residual"):
             invert_complete((6.0, 3.0, 2.0))
 
     def test_residual_computed_in_the_call(self, monkeypatch):
         # the residual gate needs it, so it is computed before the return
         calls = []
-        original = inverse.spectrum_rows
-        monkeypatch.setattr(inverse, "spectrum_rows", lambda rows: calls.append(rows) or original(rows))
+        original = inverse.spectrum_numeric
+        monkeypatch.setattr(inverse, "spectrum_numeric", lambda lap: calls.append(lap) or original(lap))
         sol = invert_complete((6.0, 3.0, 2.0))
         assert len(calls) == 1
         assert sol.residual <= 1e-8

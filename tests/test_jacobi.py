@@ -1,24 +1,19 @@
 """Round-robin Jacobi eigensolver."""
 
-import copy
 import itertools
-import math
 
 import numpy as np
 import pytest
 
 from lapreal import forward_spectrum, invert_complete
 from lapreal.graphs import CYCLE4, KITE, PATH4, STAR, build_laplacian, build_laplacians, complete
-from lapreal.graphs import laplacian_rows
 from lapreal import jacobi
 from lapreal.jacobi import (
-    FLOAT_SWEEP_MAX_ORDER,
     OFFDIAG_TOL,
     JacobiNonConvergence,
     _round_robin,
     jacobi_spectra,
     spectrum_numeric,
-    spectrum_rows,
 )
 
 
@@ -39,16 +34,18 @@ class TestRoundRobin:
         assert len(steps) == n - 1 + n % 2
         seen = []
         for step in steps:
-            assert len(step.pairs) == n // 2
-            touched = [i for pair in step.pairs for i in pair] + list(step.odd)
-            assert sorted(touched) == list(range(n))  # disjoint, one left over at odd n
-            assert all(p < q for p, q in step.pairs)
-            seen += step.pairs
+            # each pair's entries pp, qq, pq and qp
+            p, q = step.diag[:2] // (n + 1)
+            np.testing.assert_array_equal(step.diag, [p * (n + 1), q * (n + 1), p * n + q, q * n + p])
+            assert p.size == n // 2
+            assert (p < q).all()
+            odd = sorted(set(range(n)) - {*p.tolist(), *q.tolist()})
+            assert len(odd) == n % 2  # disjoint, one left over at odd n
+            seen += zip(p.tolist(), q.tolist())
             # the pairs' 2x2 diagonal blocks, the off-diagonal blocks, the odd
             # index's segments and their mirrors cover every entry once
             covered = np.concatenate(
-                (step.diag.ravel(), step.seg.ravel(), step.mirror.ravel(),
-                 [u * (n + 1) for u in step.odd])
+                (step.diag.ravel(), step.seg.ravel(), step.mirror.ravel(), [u * (n + 1) for u in odd])
             )
             np.testing.assert_array_equal(np.sort(covered), np.arange(n * n))
         assert sorted(seen) == list(itertools.combinations(range(n), 2))
@@ -56,7 +53,7 @@ class TestRoundRobin:
     def test_schedule_built_once_and_read_only(self):
         steps, upper, lower = schedule = _round_robin(6)
         assert _round_robin(6) is schedule
-        for arr in (upper, lower, *steps[0][2:]):
+        for arr in (upper, lower, *steps[0]):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
 
@@ -92,10 +89,10 @@ class TestSpectrumNumeric:
 
     @pytest.mark.parametrize("k", [-1000, -500, -100, 100, 500, 1000])
     def test_power_of_two_scale_is_exact(self, k):
-        # out of range each matrix is swept at the scale of its largest entry,
+        # out of range each matrix is taken at the scale of its largest entry,
         # so 2**k times a matrix gives 2**k times its spectrum, bit for bit
         rng = np.random.default_rng(83)
-        for n in (3, 6, FLOAT_SWEEP_MAX_ORDER + 1):
+        for n in (3, 6, 28):
             m = symmetric_stack(rng, 1, n)[0]
             m /= 2.0 * np.abs(m).max()  # largest entry 0.5
             want = np.ldexp(spectrum_numeric(m), k)
@@ -198,7 +195,7 @@ class TestJacobiSpectra:
         mats[:, np.arange(5), np.arange(5)] = diag
         np.testing.assert_array_equal(jacobi_spectra(mats), np.sort(diag, axis=1))
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 7, FLOAT_SWEEP_MAX_ORDER + 1])
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 28])
     def test_reads_only_the_upper_triangle(self, n):
         rng = np.random.default_rng(89 + n)
         a = rng.standard_normal((3, n, n))
@@ -206,9 +203,11 @@ class TestJacobiSpectra:
         skewed = upper.copy()
         lower = np.tril_indices(n, -1)
         skewed[:, lower[0], lower[1]] *= 1.0 + 1e-14 * rng.choice([-1.0, 1.0], (3, lower[0].size))
-        # the float sweep (one matrix up to FLOAT_SWEEP_MAX_ORDER) and the stack sweep
+        # a stack of one, a stack of three, and each matrix through LAPACK
         for mats, want in ((skewed[:1], upper[:1]), (skewed, upper)):
             assert jacobi_spectra(mats).tobytes() == jacobi_spectra(want).tobytes()
+        for m, want in zip(skewed, upper):
+            assert spectrum_numeric(m).tobytes() == spectrum_numeric(want).tobytes()
 
     def test_sweep_limit_raises(self):
         mats = symmetric_stack(np.random.default_rng(59), 1, 6)
@@ -231,26 +230,30 @@ class TestJacobiSpectra:
 
 
 def assert_same_bits(m):
-    # m alone takes the float sweep, m as half of a stack the array sweep
+    # m alone, and m as half of a stack
     single, stacked = jacobi_spectra(m[None])[0], jacobi_spectra(np.stack([m, m]))[0]
     assert single.tobytes() == stacked.tobytes(), (single, stacked)
 
 
-ORDERS = range(1, FLOAT_SWEEP_MAX_ORDER + 2)
+ORDERS = range(1, 29)
 
 
 class TestFloatSweepParity:
-    def test_single_small_matrix_takes_the_float_sweep(self, monkeypatch):
+    """A matrix gets the same bits from the stack sweep alone as in a stack.
+
+    The class is named for the float sweep one small matrix took until one
+    matrix went to LAPACK; every stack, of one matrix too, now takes the one sweep.
+    """
+
+    def test_every_stack_takes_the_stack_sweep(self, monkeypatch):
         def no_stack_sweep(*args):
             raise AssertionError("array sweep")
 
         monkeypatch.setattr(jacobi, "_sweep_stack", no_stack_sweep)
-        for n in range(1, FLOAT_SWEEP_MAX_ORDER + 1):
-            jacobi_spectra(np.eye(n)[None] + 1.0)
-        above = FLOAT_SWEEP_MAX_ORDER + 1
-        for mats in (np.ones((1, above, above)), np.ones((2, 3, 3))):
-            with pytest.raises(AssertionError, match="array sweep"):
-                jacobi_spectra(mats)
+        for n in ORDERS:
+            for batch in (1, 2):
+                with pytest.raises(AssertionError, match="array sweep"):
+                    jacobi_spectra(np.ones((batch, n, n)))
 
     @pytest.mark.parametrize("n", ORDERS)
     def test_random_with_signed_zeros(self, n):
@@ -261,7 +264,7 @@ class TestFloatSweepParity:
             a[rng.random((n, n)) < 0.1] = -0.0
             assert_same_bits((np.triu(a) + np.triu(a, 1).T) * 10.0**exponent)
 
-    @pytest.mark.parametrize("n", range(2, FLOAT_SWEEP_MAX_ORDER + 2))
+    @pytest.mark.parametrize("n", range(2, 29))
     def test_complete_laplacians(self, n):
         topo = complete(n)
         rng = np.random.default_rng(71 + n)
@@ -320,111 +323,123 @@ class TestFloatSweepParity:
 
 
 def stack_sweep(m):
-    # m as half of a stack takes the array sweep, the float route's reference
+    # m as half of a stack takes the array sweep, the one-matrix route's reference
     return jacobi_spectra(np.stack([m, m]))[0]
 
 
-class NoNumpy:
-    def __getattr__(self, name):
-        raise AssertionError(f"numpy.{name} called")
+def complete_laplacians(topo, rng):
+    """Unit weights, then weights with 20% zeros at scales 1, 2**+-100 and 2**+-500."""
+    weights = rng.uniform(0.0, 4.0, (5, topo.edge_count))
+    weights[rng.random(weights.shape) < 0.2] = 0.0
+    weights = np.concatenate(([np.ones(topo.edge_count)], np.ldexp(weights, [[0], [100], [-100], [500], [-500]])))
+    return weights, build_laplacians(topo, weights)
 
 
 class TestSpectrumRows:
-    """One matrix from rows of Python floats to sorted eigenvalues, with no numpy call."""
+    """One matrix through ``spectrum_numeric`` (LAPACK), with the stack sweep as its reference.
 
-    @pytest.mark.parametrize("n", range(2, FLOAT_SWEEP_MAX_ORDER + 1))
+    The class is named for the numpy-free route, ``spectrum_rows``, that one
+    matrix took until it went to LAPACK.
+    """
+
+    @pytest.mark.parametrize("n", range(2, 31))
     def test_complete_spectra_have_the_stack_bits(self, n):
+        # each K_n Laplacian of the stack gets the bits it gets alone, and
+        # LAPACK agrees with the stack to 1e-12 of the Laplacian's norm
         topo = complete(n)
-        rng = np.random.default_rng([97, n])
-        for exponent in (-150, 0, 150):
-            weights = rng.uniform(0.0, 4.0, topo.edge_count) * 10.0**exponent
-            weights[rng.random(topo.edge_count) < 0.2] = 0.0
-            lap = build_laplacian(topo, weights)
-            want = stack_sweep(lap)
-            assert spectrum_numeric(lap).tobytes() == want.tobytes()
-            assert np.array(spectrum_rows(laplacian_rows(topo, weights))).tobytes() == want.tobytes()
-            zeroed = np.where(np.abs(want) <= OFFDIAG_TOL * np.abs(want).max(), 0.0, want)
-            assert forward_spectrum(topo, weights).tobytes() == zeroed.tobytes()
+        weights, laps = complete_laplacians(topo, np.random.default_rng([97, n]))
+        stack = jacobi_spectra(laps)
+        for w, lap, want in zip(weights, laps, stack):
+            assert jacobi_spectra(lap[None])[0].tobytes() == want.tobytes()
+            got = spectrum_numeric(lap)
+            big = np.abs(lap).max()
+            if big:  # else every weight is zero, and so is every eigenvalue
+                norm = big * np.linalg.norm(lap / big)  # its square can overflow
+                assert np.abs(got - want).max() <= 1e-12 * norm
+                # the trace is 2 sum(w), and sum(lambda**2) the squared Frobenius norm
+                assert abs(got.sum() - 2.0 * w.sum()) <= 1e-12 * 2.0 * w.sum()
+                assert abs(np.sum((got / norm) ** 2) - 1.0) <= 1e-12
+            else:
+                assert not got.any() and not want.any()
+            zeroed = np.where(np.abs(got) <= OFFDIAG_TOL * np.abs(got).max(), 0.0, got)
+            assert forward_spectrum(topo, w).tobytes() == zeroed.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 5, 9, 14])
-    def test_complete_residual_has_the_stack_bits(self, n):
+    def test_complete_residual_agrees_with_the_stack(self, n):
         rng = np.random.default_rng([99, n])
         target = rng.uniform(0.0, 5.0, n - 1)
         target[0] = 0.0
         sol = invert_complete(target)
-        spec = stack_sweep(build_laplacian(sol.topology, sol.weights))
-        want = float(np.max(np.abs(spec - np.sort(np.concatenate(([0.0], target))))))
-        assert sol.residual.hex() == want.hex()
-
-    def test_order_above_the_crossover_takes_the_stack(self, monkeypatch):
-        def no_float_sweep(*args):
-            raise AssertionError("float sweep")
-
-        monkeypatch.setattr(jacobi, "_sweep_floats", no_float_sweep)
-        topo = complete(FLOAT_SWEEP_MAX_ORDER + 1)
-        weights = np.random.default_rng(5).uniform(0.0, 4.0, topo.edge_count)
-        want = stack_sweep(build_laplacian(topo, weights))
-        assert spectrum_rows(laplacian_rows(topo, weights)) == want.tolist()
-        assert forward_spectrum(topo, weights)[1:].tobytes() == want[1:].tobytes()
-        with pytest.raises(AssertionError, match="float sweep"):
-            forward_spectrum(complete(FLOAT_SWEEP_MAX_ORDER), np.ones(complete(FLOAT_SWEEP_MAX_ORDER).edge_count))
-
-    def test_no_numpy_call(self, monkeypatch):
-        rng = np.random.default_rng(7)
-        mats = {}
-        for n in range(1, FLOAT_SWEEP_MAX_ORDER + 1):
-            a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-200, 200)
-            mats[n] = (a + a.T).tolist()
-            spectrum_rows(mats[n])  # caches the order's schedule, which numpy builds
-        monkeypatch.setattr(jacobi, "np", NoNumpy())
-        for rows in mats.values():
-            spectrum_rows(rows)
+        lap = build_laplacian(sol.topology, sol.weights)
+        want = np.sort(np.concatenate(([0.0], target)))
+        # LAPACK's residual to the bit, and the stack's to 1e-12 of the norm
+        assert sol.residual.hex() == float(np.abs(spectrum_numeric(lap) - want).max()).hex()
+        stack_residual = np.abs(stack_sweep(lap) - want).max()
+        assert abs(sol.residual - stack_residual) <= 1e-12 * np.linalg.norm(lap)
 
     def test_rows_unchanged_and_lower_triangle_unread(self):
         rng = np.random.default_rng(11)
         for n in (2, 5, 12):
             a = rng.standard_normal((n, n))
-            upper = (np.triu(a) + np.triu(a, 1).T).tolist()
-            skewed = (np.triu(a) + np.tril(a.T * (1.0 + 1e-13), -1)).tolist()
-            before = copy.deepcopy(skewed)
-            assert spectrum_rows(skewed) == spectrum_rows(upper)
-            assert skewed == before
+            upper = np.triu(a) + np.triu(a, 1).T
+            skewed = np.triu(a) + np.tril(a.T * (1.0 + 1e-13), -1)
+            before = skewed.copy()
+            assert spectrum_numeric(skewed).tobytes() == spectrum_numeric(upper).tobytes()
+            assert skewed.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_named(self, bad):
         rows = [[1.0] * 5 for _ in range(5)]
-        rows[3][2] = bad  # in the lower triangle, which the sweep never reads
+        rows[3][2] = bad  # in the lower triangle, which LAPACK never reads
         with pytest.raises(ValueError, match=r"non-finite entry .* in matrix 0 at \[3, 2\]"):
-            spectrum_rows(rows)
+            spectrum_numeric(rows)
 
     def test_rejects_rows_that_are_not_square(self):
-        for rows in ([[1.0, 2.0], [2.0]], [[1.0], [2.0, 3.0]], [[1.0, 2.0, 3.0]]):
-            with pytest.raises(ValueError, match="rows of"):
-                spectrum_rows(rows)
+        for rows in ([[1.0, 2.0], [2.0]], [[1.0], [2.0, 3.0]]):
+            with pytest.raises(ValueError, match="inhomogeneous shape"):
+                spectrum_numeric(rows)
+        with pytest.raises(ValueError, match="square matrix"):
+            spectrum_numeric([[1.0, 2.0, 3.0]])
 
     def test_overflowing_laplacian_named(self):
-        # K_3 with weights 1e308 has degree 2e308 = inf on its diagonal
-        with pytest.raises(ValueError, match=r"non-finite entry inf in matrix 0 at \[0, 0\]"):
+        # K_3 with weights 1e308 has degree 2e308 = inf on its diagonal; the
+        # error named "non-finite entry inf in matrix 0 at [0, 0]", an entry
+        # that is no weight
+        with pytest.raises(ValueError, match=r"^degree of vertex 0 overflows the float range$"):
             forward_spectrum(complete(3), [1e308] * 3)
 
-    @pytest.mark.parametrize("n", range(2, FLOAT_SWEEP_MAX_ORDER + 1))
+    @pytest.mark.parametrize("n", range(2, 28))
     def test_mixed_signed_zeros_sorted_as_the_stack(self, n):
-        # -0.0 == 0.0, and numpy's sort places the two its own way
+        # a diagonal matrix's spectrum is its diagonal, exactly, in the stack's
+        # order; -0.0 == 0.0, and LAPACK and numpy's sort place the two their own ways
         rng = np.random.default_rng([103, n])
         for _ in range(10):
             diag = rng.choice([0.0, -0.0, 1.0, -1.0], n)
             diag[:2] = 0.0, -0.0
             m = np.diag(rng.permutation(diag))
-            assert spectrum_numeric(m).tobytes() == stack_sweep(m).tobytes()
+            np.testing.assert_array_equal(spectrum_numeric(m), stack_sweep(m))
 
-    @pytest.mark.parametrize("n", range(1, FLOAT_SWEEP_MAX_ORDER + 1))
+    @pytest.mark.parametrize("n", range(1, 28))
     def test_norm_has_numpy_bits(self, n):
-        # the convergence threshold is OFFDIAG_TOL times this norm
+        # the stack's convergence threshold is OFFDIAG_TOL times numpy's Frobenius
+        # norm, to the bit: an off-diagonal entry at it retires the matrix before
+        # any sweep, and one ulp above it does not
+        def limit(m):  # as the stack computes it
+            return OFFDIAG_TOL * np.linalg.norm(m[:, :, None], axis=(0, 1))[0]
+
         rng = np.random.default_rng([107, n])
         for _ in range(20):
-            m = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-10, 10, (n, n))
-            want = np.linalg.norm(m[:, :, None], axis=(0, 1))[0]
-            assert math.sqrt(jacobi._pairwise_sum((m * m).ravel().tolist())) == want
+            m = np.diag(rng.uniform(1.0, 2.0, n))
+            if n > 1:
+                i, j = np.sort(rng.choice(n, 2, replace=False))
+                m[i, j] = limit(m)
+                assert m[i, j] == limit(m)  # the entry leaves the norm's bits as they are
+            want = np.sort(np.diag(m))
+            assert jacobi_spectra(m[None], max_sweeps=1)[0].tobytes() == want.tobytes()
+            if n > 1:
+                m[i, j] = np.nextafter(m[i, j], np.inf)
+                with pytest.raises(JacobiNonConvergence):
+                    jacobi_spectra(m[None], max_sweeps=1)
 
 
 #: sweeps needed by each of 40 K_n Laplacians, weights default_rng([2, n]), before
