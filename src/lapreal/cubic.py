@@ -44,33 +44,33 @@ class NoThreeRealRoots(Exception):
 
 
 def _star_coeffs(l1, l2, l3):
-    p2 = -2.0 * (l1 + l2 + l3)
-    p1 = 3.0 * (l1 * l2 + l1 * l3 + l2 * l3)
-    p0 = -4.0 * l1 * l2 * l3
+    p2 = -2 * (l1 + l2 + l3)
+    p1 = 3 * (l1 * l2 + l1 * l3 + l2 * l3)
+    p0 = -4 * l1 * l2 * l3
     return p2, p1, p0
 
 
 def _cycle_coeffs(l1, l2, l3, l4):
-    p2 = -2.0 * (l1 + l2 + l3 + l4)
-    p1 = 3.0 * (l1 * l2 + l2 * l3 + l3 * l4 + l4 * l1) + 4.0 * (l1 * l3 + l2 * l4)
-    p0 = -4.0 * (l1 * l2 * l3 + l1 * l2 * l4 + l1 * l3 * l4 + l2 * l3 * l4)
+    p2 = -2 * (l1 + l2 + l3 + l4)
+    p1 = 3 * (l1 * l2 + l2 * l3 + l3 * l4 + l4 * l1) + 4 * (l1 * l3 + l2 * l4)
+    p0 = -4 * (l1 * l2 * l3 + l1 * l2 * l4 + l1 * l3 * l4 + l2 * l3 * l4)
     return p2, p1, p0
 
 
 def _kite_coeffs(l1, l2, l3, l4):
-    p2 = -2.0 * (l1 + l2 + l3 + l4)
-    p1 = 3.0 * (l1 * l2 + l1 * l3 + l2 * l3 + l2 * l4 + l3 * l4) + 4.0 * l1 * l4
-    p0 = -4.0 * (l1 * l2 * l4 + l1 * l3 * l4 + l2 * l3 * l4)
+    p2 = -2 * (l1 + l2 + l3 + l4)
+    p1 = 3 * (l1 * l2 + l1 * l3 + l2 * l3 + l2 * l4 + l3 * l4) + 4 * l1 * l4
+    p0 = -4 * (l1 * l2 * l4 + l1 * l3 * l4 + l2 * l3 * l4)
     return p2, p1, p0
 
 
 def _path_coeffs(l1, l2, l3):
     # path = cycle with the v4v1 edge deleted
-    return _cycle_coeffs(0.0, l1, l2, l3)
+    return _cycle_coeffs(0, l1, l2, l3)
 
 
 #: coefficient formula of each four-vertex topology, for Python floats
-#: and numpy arrays alike
+#: and numpy arrays alike; integer literals keep it exact on Fractions
 COEFFS = {
     STAR_KIND: _star_coeffs,
     CYCLE_KIND: _cycle_coeffs,

@@ -131,12 +131,17 @@ def build_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarray:
         raise ValueError("negative edge weight")
     n = topology.order
     lap = np.zeros((w.shape[0], n, n))
-    for k, (i, j) in enumerate(topology.edges):
-        wk = w[:, k]
-        lap[:, i, i] += wk
-        lap[:, j, j] += wk
-        lap[:, i, j] -= wk
-        lap[:, j, i] -= wk
+    with np.errstate(over="ignore"):
+        for k, (i, j) in enumerate(topology.edges):
+            wk = w[:, k]
+            lap[:, i, i] += wk
+            lap[:, j, j] += wk
+            lap[:, i, j] -= wk
+            lap[:, j, i] -= wk
+    overflow = np.isinf(lap.diagonal(axis1=1, axis2=2))
+    if overflow.any():
+        k, v = np.argwhere(overflow)[0]
+        raise ValueError(f"degree of vertex {v} in row {k} overflows the float range")
     return lap
 
 

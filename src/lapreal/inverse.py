@@ -9,6 +9,8 @@ nonnegative tuple on a complete graph through repeated suspensions.
 target as ``check_*`` does and lets the topology's mask decide on the same
 floats, so a check and an invert cannot disagree.  A solution's ``residual``
 and a rejection's ``certificate`` are computed when first read, then cached.
+The residual has one route for every graph, LAPACK's spectrum of the weights'
+Laplacian, so it moves no more than the weights do (Weyl's inequality).
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import NoThreeRealRoots, _roots, _spectrum_roots, cubic_discriminant, cubic_real_roots
-from .graphs import COMPLETE_KIND, CYCLE4, KITE, PATH4, STAR, Topology, build_laplacian, complete
+from .cubic import NoThreeRealRoots, _roots, cubic_discriminant, cubic_real_roots
+from .graphs import CYCLE4, KITE, PATH4, STAR, Topology, build_laplacian, complete
 from .graphs import UNIT_HIGH, UNIT_LOW, unit_scaled
 from .jacobi import spectrum_numeric
 from .realizability import CHECKS, MASKS, Certificate, _validate_eigenvalues, _validate_triple
@@ -57,7 +59,7 @@ class InternalInfeasible(RuntimeError):
 
 @dataclass(frozen=True, init=False)
 class InverseSolution:
-    """Weights for ``target`` on ``topology``; ``residual`` is computed on first read."""
+    """Weights for ``target`` on ``topology``; the Laplacian's ``residual`` is read lazily."""
 
     topology: Topology
     weights: tuple[float, ...]
@@ -71,8 +73,6 @@ class InverseSolution:
 
     @functools.cached_property
     def residual(self) -> float:
-        if self.topology.kind != COMPLETE_KIND:
-            return _closed_form_residual(self.topology, self.weights, self.target)
         spec = spectrum_numeric(build_laplacian(self.topology, self.weights))
         return float(np.abs(spec - np.sort((0.0, *self.target))).max())
 
@@ -104,14 +104,6 @@ def _quad_roots(sigma: float, prod: float) -> tuple[float, float]:
         disc = 0.0
     r = math.sqrt(disc)
     return (sigma + r) / 2.0, (sigma - r) / 2.0
-
-
-def _closed_form_residual(topology: Topology, weights, target) -> float:
-    # the weights come from a construction, nonnegative floats of the right count
-    # that need no second validation; the roots come ascending, by forward_spectrum's route
-    g1, g2, g3 = _spectrum_roots(topology.kind, weights)
-    w1, w2, w3 = sorted(target)
-    return max(abs(g1 - w1), abs(g2 - w2), abs(g3 - w3))
 
 
 def _inverter(topology: Topology, construct):
@@ -159,23 +151,20 @@ def _star_weights(triple) -> tuple[float, ...]:
 def _cycle_weights(triple) -> tuple[float, ...]:
     """Cycle construction under the sum-8 normalization.
 
-    With the largest entry written as 4 + s and the smaller remaining entry
-    as t, one of two explicit (a, c, d) parameter choices applies; the edge
-    weights are recovered from the quadratics u^2 - a*u + c and
-    u^2 - (4-a)*u + d.
+    With the largest entry written as 4 + s and the smallest as t, the
+    parameters are a = 4 - t, d = t^2/4 and
+    c = (-(2t+s-4)^2 - (8-3t)(2t+s-4) + t(4-t))/4; the edge weights are
+    recovered from the quadratics u^2 - a*u + c and u^2 - (4-a)*u + d.
+    The proof's second choice of (a, c, d) asks for 2t + s > 4, that is
+    t > 4 - s - t, the middle entry, which the smallest entry never exceeds.
     """
     x, y, z = triple
     factor = 8.0 / (x + y + z)
-    t, _, big = sorted((x * factor, y * factor, z * factor))  # t: smaller remaining entry
+    t, _, big = sorted((x * factor, y * factor, z * factor))
     s = big - 4.0
-    if 2.0 * t + s <= 4.0:
-        a = 4.0 - t
-        d = t * t / 4.0
-        c = (-((2 * t + s - 4.0) ** 2) - (8.0 - 3.0 * t) * (2 * t + s - 4.0) + t * (4.0 - t)) / 4.0
-    else:
-        a = s + t
-        d = (s + t - 4.0) ** 2 / 4.0
-        c = (s * s + 3.0 * s * t - 4.0 * s + t * t) / 4.0
+    a = 4.0 - t
+    d = t * t / 4.0
+    c = (-((2 * t + s - 4.0) ** 2) - (8.0 - 3.0 * t) * (2 * t + s - 4.0) + t * (4.0 - t)) / 4.0
     b = 4.0 - a
     l1, l3 = _quad_roots(a, c)
     l2, l4 = _quad_roots(b, d)

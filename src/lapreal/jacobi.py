@@ -16,8 +16,8 @@ gets the bits it gets in a stack of its own.
 
 One matrix goes to LAPACK instead: ``spectrum_numeric`` scales it by the same
 rule and calls ``np.linalg.eigvalsh`` on its upper triangle.  ``forward_spectrum``
-on K_n and the K_n residual call it; the stack sweep stays their independent
-reference in the test suite.
+on K_n and every ``InverseSolution.residual`` call it; the stack sweep stays
+their independent reference in the test suite.
 """
 
 from __future__ import annotations
@@ -153,7 +153,9 @@ def spectrum_numeric(mat: np.ndarray) -> np.ndarray:
     Only the upper triangle is read, once the matrix passes the symmetry test
     (to 1e-12 of its largest entry).  It is scaled by ``jacobi_spectra``'s rule
     for the call and its eigenvalues scaled back, so none over- or underflows
-    on the way.
+    on the way.  When the rule's exponent is 0 the matrix goes to LAPACK as it
+    is and nothing is rescaled: its entries are at most 2**60, so no eigenvalue
+    can overflow.
     """
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -166,6 +168,8 @@ def spectrum_numeric(mat: np.ndarray) -> np.ndarray:
     if np.abs(m - m.T).max() > 1e-12 * big:
         raise ValueError("matrix is not symmetric")
     e = 0 if UNIT_LOW <= big <= UNIT_HIGH else math.frexp(big)[1]
+    if not e:
+        return np.linalg.eigvalsh(m, UPLO="U")
     spec = np.linalg.eigvalsh(np.ldexp(m, -e), UPLO="U")
     with np.errstate(over="ignore"):
         spec = np.ldexp(spec, e)

@@ -136,6 +136,22 @@ class TestInvert:
         _, checked, _ = run(capsys, "check", "--graph", "star", "--triple", triple)
         assert checked.splitlines()[1:] == out.splitlines()[1:]
 
+    @pytest.mark.parametrize(
+        "graph, triple",
+        [
+            ("cycle", "3.9510652226952483,3.9510652226952483,8.443311892391831"),
+            ("cycle", "4.729679033262876,4.729679033262876,9.742566032064998"),
+            ("kite", "4.4572209118711354,4.4572209118711354,1.0348407595126403"),
+        ],
+    )
+    def test_tie_residual_reads_the_weights_error(self, capsys, graph, triple):
+        # printed residual=1.83713858e-07, 1.97686249e-07 and 1.33280039e-07
+        # for correct weights: the residual solved the weights' cubic again
+        code, out, _ = run(capsys, "invert", "--graph", graph, "--triple", triple)
+        assert code == 0
+        residual = float(re.search(r"^residual=(\S+)$", out, re.M).group(1))
+        assert residual <= 1e-8 * sum(map(float, triple.split(",")))
+
     def test_complete_any_tuple(self, capsys):
         code, out, _ = run(capsys, "invert", "--graph", "kn", "--triple", "5,4,3,2")
         assert code == 0

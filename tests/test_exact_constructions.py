@@ -1,0 +1,84 @@
+"""The constructions' backward error, measured in exact arithmetic.
+
+A construction returns float weights.  Their Laplacian cubic, computed exactly
+by ``COEFFS`` on ``Fraction``s, has the coefficients (-e1, e2, -e3) of the
+target it realizes, where e1, e2, e3 are the target's elementary symmetric
+functions.  The float weights differ from the exact ones by roundoff, so each
+coefficient matches to a few ulps of the matching power of the target's sum S.
+Exact checks at random rational points stand for the polynomial identities
+(J. T. Schwartz, J. ACM 27, 1980).
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from lapreal.cubic import COEFFS
+from lapreal.inverse import INVERTERS
+from lapreal.realizability import CHECKS
+
+EPS = np.finfo(float).eps
+
+#: largest coefficient backward error, in ulps of S, S**2 and S**3
+BOUND = 8 * EPS
+
+DRAWS = 900
+
+
+def targets(kind):
+    """Seeded realizable targets over scales 1e-3..1e3; a third are ties (a, a, b) and permutations."""
+    rng = np.random.default_rng([2718, ("star", "cycle", "path", "kite").index(kind)])
+    u = np.sort(rng.random((DRAWS, 2)), axis=1)
+    rows = np.stack([u[:, 0], u[:, 1] - u[:, 0], 1.0 - u[:, 1]], axis=1)
+    ties = DRAWS // 3
+    tie = rows[:ties, 0] = rows[:ties, 1] = rng.uniform(0.0, 1.0, ties)
+    rows[:ties, 2] = tie * 10.0 ** rng.uniform(-2.0, 2.0, ties)
+    for k in range(ties):
+        rows[k] = np.roll(rows[k], rng.integers(0, 3))
+    rows *= 10.0 ** rng.uniform(-3.0, 3.0, DRAWS)[:, None]
+    return [t for t in map(tuple, rows.tolist()) if CHECKS[kind](t).realizable]
+
+
+def backward_errors(kind, target):
+    """|p2 + e1| / S, |p1 - e2| / S**2 and |p0 + e3| / S**3 of the returned weights, exactly."""
+    x, y, z = map(Fraction, target)
+    weights = map(Fraction, INVERTERS[kind](target).weights)
+    p2, p1, p0 = COEFFS[kind](*weights)
+    e1, e2, e3 = x + y + z, x * y + x * z + y * z, x * y * z
+    return abs(p2 + e1) / e1, abs(p1 - e2) / e1**2, abs(p0 + e3) / e1**3
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "star",
+        "cycle",
+        pytest.param(
+            "path",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="the middle weight, a root of _roots, loses digits to the Cardano "
+                "cancellation (ROADMAP: One accurate, scale-free cubic body)",
+            ),
+        ),
+        "kite",
+    ],
+)
+def test_weights_realize_the_target_coefficients(kind):
+    sample = targets(kind)
+    assert len(sample) > 100
+    # ties (a, a, b), b > 0, lie outside the star's and the path's regions or on their boundary
+    assert sum(len(set(t)) < 3 for t in sample) > 100 or kind in ("star", "path")
+    worst = max(max(backward_errors(kind, t)) for t in sample)
+    assert worst <= BOUND, f"{kind}: backward error {float(worst / EPS):.3g} ulps"
+
+
+def test_cycle_first_choice_holds_exactly():
+    # with the sum-8 entries t <= mid <= 4 + s, 2t + s <= 4 reads t <= mid:
+    # the construction's other choice of (a, c, d) is never needed
+    for target in targets("cycle"):
+        x, y, z = map(Fraction, target)
+        factor = 8 / (x + y + z)
+        t, _, big = sorted((x * factor, y * factor, z * factor))
+        assert 2 * t + (big - 4) <= 4

@@ -21,8 +21,9 @@ from lapreal.cubic import (
     reduced_cubic,
     solve_cubic_real,
 )
-from lapreal.graphs import CYCLE4, KITE, PATH4, STAR
-from lapreal import forward_spectrum, inverse
+from lapreal.graphs import CYCLE4, KITE, PATH4, STAR, build_laplacian
+from lapreal import inverse
+from lapreal.jacobi import spectrum_numeric
 from lapreal.inverse import INVERTERS, NotRealizable
 from lapreal.oracle import SamplerConfig, roundtrip_suite
 from lapreal.realizability import CHECKS
@@ -38,10 +39,12 @@ STAR_BAND = 1e-5
 
 GOLDEN_PER_TOPOLOGY = 600
 
-#: sha256 of repr(golden_records()) written at commit 6086437 and re-pinned when the
+#: sha256 of repr(golden_records()) written at commit 6086437, re-pinned when the
 #: path's cubes became products, which moved only the last bits of 45 path
-#: certificate values; no verdict, detail or weight changed (CHANGES.md lists them)
-GOLDEN_DIGEST = "8529601b27a54b40c9eb557d7d0060389f244b87b4eb2eb765895fdff4821d18"
+#: certificate values, and when every residual came to read the Laplacian's
+#: LAPACK spectrum, which moved 1040 of the 1223 residuals and nothing else; no
+#: verdict, detail or weight changed (CHANGES.md lists them)
+GOLDEN_DIGEST = "29cc263117d2826bdb993c6bdc601a083839806300245066ed1f592eb9724159"
 
 FIXED_TARGETS = (
     (0.0, 0.0, 0.0),
@@ -276,9 +279,15 @@ def counting(monkeypatch, owner, name):
     return calls
 
 
+def matrix_residual(sol):
+    """The largest distance from the LAPACK spectrum of the weights' Laplacian to (0, *target)."""
+    spectrum = spectrum_numeric(build_laplacian(sol.topology, sol.weights))
+    return float(np.max(np.abs(spectrum - sorted((0.0, *sol.target)))))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_roundtrip_suite_computes_no_residual(monkeypatch, kind):
-    calls = counting(monkeypatch, inverse, "_closed_form_residual")
+    calls = counting(monkeypatch, inverse, "spectrum_numeric")
     report = roundtrip_suite(TOPOLOGIES[kind], SamplerConfig(1, 200))
     assert report.inverted == 200
     assert calls == []
@@ -287,24 +296,21 @@ def test_roundtrip_suite_computes_no_residual(monkeypatch, kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_residual_computed_once_on_first_read(monkeypatch, kind):
     target = next(t for t in golden_targets(kind) if CHECKS[kind](t).realizable)
-    calls = counting(monkeypatch, inverse, "_closed_form_residual")
+    calls = counting(monkeypatch, inverse, "spectrum_numeric")
     sol = INVERTERS[kind](target)
     assert calls == []
     first, second = sol.residual, sol.residual
     assert len(calls) == 1
-    want = inverse._closed_form_residual(sol.topology, sol.weights, target)
-    assert first.hex() == second.hex() == want.hex()
+    assert first.hex() == second.hex() == matrix_residual(sol).hex()
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_residual_takes_the_forward_route(kind):
+def test_residual_takes_the_matrix_route(kind):
     targets = [t for t in golden_targets(kind)[:100] if CHECKS[kind](t).realizable]
     assert targets
     for target in targets:
         sol = INVERTERS[kind](target)
-        spectrum = forward_spectrum(sol.topology, sol.weights)
-        want = float(np.max(np.abs(spectrum[1:] - sorted(target))))
-        assert sol.residual.hex() == want.hex()
+        assert sol.residual.hex() == matrix_residual(sol).hex()
 
 
 @pytest.mark.parametrize("kind", ["cycle", "kite"])

@@ -1,6 +1,7 @@
 """Topology definitions and Laplacian construction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,20 @@ class TestBuildLaplacian:
         lap_p = build_laplacian(PATH4, w)
         lap_c = build_laplacian(CYCLE4, w + (0.0,))
         np.testing.assert_array_equal(lap_p, lap_c)
+
+    @pytest.mark.parametrize(
+        "rows, row, vertex",
+        [([[1e308] * 3], 0, 0), ([[1.0] * 3, [1.0, 1e308, 1e308]], 1, 2)],
+    )
+    def test_batch_degree_overflow_names_row_and_vertex(self, rows, row, vertex):
+        # the degree 2e308 came out as inf with two RuntimeWarnings, named later
+        # as "non-finite entry inf in matrix 0 at [0, 0]", an entry that is no weight
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match=rf"^degree of vertex {vertex} in row {row} overflows the float range$"
+            ):
+                build_laplacians(complete(3), rows)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)

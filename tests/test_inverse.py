@@ -12,6 +12,7 @@ from lapreal import forward_spectrum
 from lapreal.graphs import CYCLE4, KITE, PATH4, STAR, build_laplacian, complete
 from lapreal import inverse
 from lapreal.inverse import (
+    INVERTERS,
     InternalInfeasible,
     NotRealizable,
     invert_complete,
@@ -257,6 +258,49 @@ class TestInvertKite:
             sol = invert_kite(target)
             assert min(sol.weights) >= 0.0
             assert roundtrip_residual(sol, target) <= 1e-8
+
+
+#: tie targets (a, a, b) whose residual read 1.84e-7, 1.98e-7 and 1.33e-7 when
+#: it solved the weights' cubic again, which fixes a double root only to ~1e-8
+TIE_TARGETS = [
+    ("cycle", (3.9510652226952483, 3.9510652226952483, 8.443311892391831)),
+    ("cycle", (4.729679033262876, 4.729679033262876, 9.742566032064998)),
+    ("kite", (4.4572209118711354, 4.4572209118711354, 1.0348407595126403)),
+]
+
+
+def tie_targets(kind, draws):
+    """Seeded realizable ties (a, a, b) in every order, b/a in 1e-2..1e2, over scales 1e-3..1e3."""
+    rng = np.random.default_rng([41, ("cycle", "kite").index(kind)])
+    ratio = 10.0 ** rng.uniform(-2.0, 2.0, draws)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, draws)
+    slot = rng.integers(0, 3, draws)
+    targets = []
+    for b, a, k in zip((ratio * scale).tolist(), scale.tolist(), slot.tolist()):
+        target = [a, a]
+        target.insert(k, b)
+        if CHECKS[kind](target).realizable:
+            targets.append(tuple(target))
+    return targets
+
+
+class TestTieResidual:
+    """At a double target eigenvalue the residual reads the weights' true error."""
+
+    @pytest.mark.parametrize("kind, target", TIE_TARGETS)
+    def test_reproducer(self, kind, target):
+        sol = INVERTERS[kind](target)
+        assert sol.residual <= 1e-8 * max(1.0, sum(target))
+        assert sol.residual.hex() == roundtrip_residual(sol, target).hex()
+
+    @pytest.mark.parametrize("kind, draws", [("cycle", 12000), ("kite", 4000)])
+    def test_seeded_ties(self, kind, draws):
+        # 1 cycle and 10 kite residuals of these sweeps read above the bound
+        # when the residual solved the weights' cubic again
+        targets = tie_targets(kind, draws)
+        assert len(targets) > 2000
+        over = [t for t in targets if INVERTERS[kind](t).residual > 1e-8 * max(1.0, sum(t))]
+        assert over == []
 
 
 class TestSuspendSpectrum:
