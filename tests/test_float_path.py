@@ -1,9 +1,9 @@
 """The scalar check/invert path: golden outputs and Python-float results.
 
 A single ``check_*`` or ``invert_*`` call works on Python floats from
-input to result.  The golden digest pins its verdicts, certificates,
-weights and residuals bit for bit to those of the numpy-scalar path it
-replaced.
+input to result.  The golden digest pins its verdicts, certificates and
+weights bit for bit to those of the numpy-scalar path it replaced, and its
+residuals to the Laplacian's LAPACK spectrum.
 """
 
 import hashlib
