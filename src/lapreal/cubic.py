@@ -6,11 +6,14 @@ coefficients are taken from the symmetric-function systems of the
 characteristic polynomials, not from det(lambda*I - L), so that the
 iterative eigensolver remains an independent cross-check.
 
-One scalar kernel, ``_roots``, finds the roots on Python floats; its two
-wrappers ``solve_cubic_real`` (three roots) and ``laplacian_cubic_roots``
-(three roots, near-zero roundoff clamped), and ``cubic_real_roots`` (one or
-three roots as found), only unpack their arguments.  The batch solver does
-the same work on numpy arrays.
+One algorithm finds the roots: the root of largest magnitude of the
+depressed cubic, taken where nothing cancels, one guarded Newton step, and
+the other two roots from the deflated quadratic; no close pair is re-solved.
+The scalar kernel ``_roots`` runs it on Python floats, and its wrappers
+``solve_cubic_real`` (three roots), ``laplacian_cubic_roots`` (three roots,
+near-zero roundoff clamped) and ``cubic_real_roots`` (one or three roots as
+found) only unpack their arguments.  ``solve_cubic_real_batch`` runs it on
+numpy arrays; the two share the depressed form, ``_depressed``.
 """
 
 from __future__ import annotations
@@ -114,74 +117,67 @@ def cubic_discriminant(p2: float, p1: float, p0: float) -> float:
     return 18.0 * p2 * p1 * p0 - 4.0 * (b2 * p2) * p0 + b2 * c2 - 4.0 * (c2 * p1) - 27.0 * (p0 * p0)
 
 
-_TWO_PI = 2.0 * math.pi
+def _depressed(p2, p1, p0):
+    """(p, q, h, shift): lambda = t + shift turns the monic cubic into t^3 + p*t + q.
 
-
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+    h = q^2/4 + p^3/27 is -1/108 of the discriminant: h <= 0 means three
+    real roots.  Products only, so it serves Python floats and numpy arrays.
+    """
+    p = p1 - p2 * p2 / 3.0
+    q = 2.0 * (p2 * p2 * p2) / 27.0 - p2 * p1 / 3.0 + p0
+    return p, q, q * q / 4.0 + p * p * p / 27.0, -p2 / 3.0
 
 
 def _roots(p2, p1, p0, three=True, clamp=True):
     """The scalar kernel: real roots of the monic cubic on floats, ascending.
 
-    Trigonometric form when all roots are real, Cardano otherwise, then one
-    guarded Newton step per root.  The trigonometric form loses half the
-    digits at a double root, so a close pair is re-solved from the
-    coefficients and the well separated (accurate) third root.  With
-    ``three``, a discriminant below the roundoff band raises
-    :class:`NoThreeRealRoots` and a lone root inside the band is deflated to
-    three; with ``clamp`` too, roots in (-ZERO_CLAMP, 0) come back as 0.
+    First the root r of largest magnitude in the depressed form t^3 + p*t + q:
+    with three real roots its angle lies in [0, pi/6], where the cosine is
+    flat, and with one it is Cardano's form taking the larger cube root, so
+    nothing cancels (W. Kahan, "To Solve a Real Cubic Equation", 1986;
+    J. Blinn, "How to Solve a Cubic Equation", IEEE CG&A 2006-07).  One
+    guarded Newton step polishes r; the other two roots solve the deflated
+    quadratic u^2 - sigma*u + prod, the larger by magnitude first and the
+    smaller as prod over it.  With ``three``, a discriminant below the
+    roundoff band raises :class:`NoThreeRealRoots` and a lone real root
+    inside the band comes with the double root sigma/2; with ``clamp`` too,
+    roots in (-ZERO_CLAMP, 0) come back as 0.
     """
     if three:
         disc = cubic_discriminant(p2, p1, p0)
         if disc < -DISC_TOL * max(1.0, abs(p2), abs(p1), abs(p0)) ** 3:
             raise NoThreeRealRoots(f"discriminant {disc} < 0 for {CubicCoeffs(p2, p1, p0)}")
-    p = p1 - p2 * p2 / 3.0
-    q = 2.0 * p2**3 / 27.0 - p2 * p1 / 3.0 + p0
-    shift = -p2 / 3.0
-    h = q * q / 4.0 + p**3 / 27.0
+    p, q, h, shift = _depressed(p2, p1, p0)
     if h <= 0.0:
-        # three real roots (p <= 0 here)
         m = 2.0 * math.sqrt(-p / 3.0) if p < 0.0 else 0.0
-        if m == 0.0:
-            roots = [shift, shift, shift]
-        else:
-            phi = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * m))))
-            roots = [
-                m * math.cos(phi / 3.0) + shift,
-                m * math.cos((phi - _TWO_PI) / 3.0) + shift,
-                m * math.cos((phi - 2.0 * _TWO_PI) / 3.0) + shift,
-            ]
+        mag = m * math.cos(math.acos(min(1.0, 3.0 * abs(q) / (m * -p))) / 3.0) if m else 0.0
     else:
-        sqrt_h = math.sqrt(h)
-        roots = [_cbrt(-q / 2.0 + sqrt_h) + _cbrt(-q / 2.0 - sqrt_h) + shift]
-    for k, r in enumerate(roots):
-        fp = (3.0 * r + 2.0 * p2) * r + p1
-        scale = abs(r) if abs(r) > 1.0 else 1.0  # max(1.0, abs(r)) without the call
-        if abs(fp) > 1e-6 * scale * scale:
-            roots[k] = r - (((r + p2) * r + p1) * r + p0) / fp
-    if len(roots) == 3:
-        roots.sort()
-        r1, r2, r3 = roots
-        d12 = r2 - r1
-        d23 = r3 - r2
-        scale = max(1.0, abs(r1), abs(r3))
-        if d12 <= d23:
-            iso, dpair, diso = r3, d12, d23
-        else:
-            iso, dpair, diso = r1, d23, d12
-        if not (dpair >= 1e-3 * scale or diso <= 10.0 * dpair):
-            sigma = -p2 - iso
-            prod = p1 - iso * sigma
-            r = math.sqrt(max(sigma * sigma - 4.0 * prod, 0.0))
-            roots = sorted([(sigma - r) / 2.0, (sigma + r) / 2.0, iso])
-    elif three:
-        r = roots[0]
-        double = -(p2 + r) / 2.0
-        roots = sorted([r, double, double])
+        a = (abs(q) / 2.0 + math.sqrt(h)) ** (1.0 / 3.0)
+        mag = a - p / (3.0 * a)
+    r = shift - math.copysign(mag, q)
+    fp = (3.0 * r + 2.0 * p2) * r + p1
+    scale = abs(r) if abs(r) > 1.0 else 1.0  # max(1.0, abs(r)) without the call
+    if abs(fp) > 1e-6 * scale * scale:
+        r -= (((r + p2) * r + p1) * r + p0) / fp
+    sigma = -p2 - r
+    if h > 0.0:
+        if not three:
+            return [r]
+        big = small = sigma / 2.0
+    else:
+        prod = -p0 / r if abs(r) > abs(sigma) else p1 - r * sigma
+        disc = sigma * sigma - 4.0 * prod
+        big = (sigma + math.copysign(math.sqrt(disc) if disc > 0.0 else 0.0, sigma)) / 2.0
+        small = prod / big if big else big
+    lo, hi = (big, small) if big < small else (small, big)
+    if r < lo:
+        r1, r2, r3 = r, lo, hi
+    elif r > hi:
+        r1, r2, r3 = lo, hi, r
+    else:
+        r1, r2, r3 = lo, r, hi
     if not three:
-        return roots
-    r1, r2, r3 = roots
+        return [r1, r2, r3]
     if clamp:
         return (
             0.0 if -ZERO_CLAMP < r1 < 0.0 else r1,
@@ -220,6 +216,9 @@ def laplacian_cubic_roots(coeffs: CubicCoeffs) -> tuple[float, float, float]:
 def solve_cubic_real_batch(p2, p1, p0, strict: bool = True) -> np.ndarray:
     """Vectorized three-real-root solver; returns a (batch, 3) ascending array.
 
+    The algorithm of :func:`_roots` on every row: both forms of the outlier
+    root are computed and ``np.where`` keeps the row's own, and a row with
+    one real root gets the double root sigma/2, the real part of its pair.
     Raises ``ValueError`` naming the first NaN or infinite coefficient.
     With ``strict`` set, raises :class:`NoThreeRealRoots` if any row has a
     discriminant below the roundoff band.  Intended for Laplacian cubics,
@@ -242,45 +241,22 @@ def solve_cubic_real_batch(p2, p1, p0, strict: bool = True) -> np.ndarray:
                 f"row {idx}: discriminant {disc[idx]} < 0 for "
                 f"({p2[idx]}, {p1[idx]}, {p0[idx]})"
             )
-    p = p1 - p2 * p2 / 3.0
-    q = 2.0 * (p2 * p2 * p2) / 27.0 - p2 * p1 / 3.0 + p0
-    shift = -p2 / 3.0
-    m = 2.0 * np.sqrt(np.maximum(-p, 0.0) / 3.0)
+    p, q, h, shift = _depressed(p2, p1, p0)
+    real3 = h <= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        cosarg = np.clip(3.0 * q / (p * m), -1.0, 1.0)
-    cosarg = np.where(m > 0.0, cosarg, 1.0)
-    phi = np.arccos(cosarg)
-    ks = np.array([0.0, 1.0, 2.0])
-    angles = (phi[:, None] - 2.0 * np.pi * ks[None, :]) / 3.0
-    roots = m[:, None] * np.cos(angles) + shift[:, None]
-    # single guarded Newton step to tighten simple roots
-    f = ((roots + p2[:, None]) * roots + p1[:, None]) * roots + p0[:, None]
-    fp = (3.0 * roots + 2.0 * p2[:, None]) * roots + p1[:, None]
-    rscale = np.maximum(1.0, np.abs(roots))
-    safe = np.abs(fp) > 1e-6 * rscale * rscale
-    roots = np.where(safe, roots - np.where(safe, f / np.where(safe, fp, 1.0), 0.0), roots)
-    roots.sort(axis=1)
-    return _refine_close_pair_batch(roots, p2, p1)
-
-
-def _refine_close_pair_batch(roots: np.ndarray, p2, p1) -> np.ndarray:
-    """Vectorized :func:`_refine_close_pair` over a (batch, 3) root array."""
-    d12 = roots[:, 1] - roots[:, 0]
-    d23 = roots[:, 2] - roots[:, 1]
-    scale = np.maximum(1.0, np.maximum(np.abs(roots[:, 0]), np.abs(roots[:, 2])))
-    low_pair = d12 <= d23
-    iso = np.where(low_pair, roots[:, 2], roots[:, 0])
-    dpair = np.where(low_pair, d12, d23)
-    diso = np.where(low_pair, d23, d12)
-    fix = (dpair < 1e-3 * scale) & (diso > 10.0 * dpair)
-    if not np.any(fix):
-        return roots
-    sigma = -p2 - iso
-    prod = p1 - iso * sigma
-    r = np.sqrt(np.maximum(sigma * sigma - 4.0 * prod, 0.0))
-    lo = (sigma - r) / 2.0
-    hi = (sigma + r) / 2.0
-    fixed = np.stack([lo, hi, iso], axis=1)
-    fixed.sort(axis=1)
-    out = np.where(fix[:, None], fixed, roots)
-    return out
+        m = 2.0 * np.sqrt(np.maximum(-p, 0.0) / 3.0)
+        trig = m * np.cos(np.arccos(np.minimum(1.0, 3.0 * np.abs(q) / (m * -p))) / 3.0)
+        a = np.cbrt(np.abs(q) / 2.0 + np.sqrt(np.maximum(h, 0.0)))
+        mag = np.where(real3, np.where(m > 0.0, trig, 0.0), a - p / (3.0 * a))
+        r = shift - np.copysign(mag, q)
+        f = ((r + p2) * r + p1) * r + p0
+        fp = (3.0 * r + 2.0 * p2) * r + p1
+        safe = np.abs(fp) > 1e-6 * np.maximum(1.0, np.abs(r)) ** 2
+        r = np.where(safe, r - f / fp, r)
+        sigma = -p2 - r
+        prod = np.where(np.abs(r) > np.abs(sigma), -p0 / r, p1 - r * sigma)
+        disc = np.where(real3, sigma * sigma - 4.0 * prod, 0.0)
+        big = (sigma + np.copysign(np.sqrt(np.maximum(disc, 0.0)), sigma)) / 2.0
+        small = np.where(real3 & (big != 0.0), prod / big, big)
+    lo, hi = np.minimum(big, small), np.maximum(big, small)
+    return np.stack((np.minimum(r, lo), np.maximum(lo, np.minimum(r, hi)), np.maximum(r, hi)), axis=1)

@@ -155,19 +155,20 @@ def _cycle_weights(triple) -> tuple[float, ...]:
     parameters are a = 4 - t, d = t^2/4 and
     c = (-(2t+s-4)^2 - (8-3t)(2t+s-4) + t(4-t))/4; the edge weights are
     recovered from the quadratics u^2 - a*u + c and u^2 - (4-a)*u + d.
-    The proof's second choice of (a, c, d) asks for 2t + s > 4, that is
-    t > 4 - s - t, the middle entry, which the smallest entry never exceeds.
+    The second is (u - t/2)^2, so l2 = l4 = t/2 exactly, as the kite's
+    triangle weights are b/2; solving it in floats split the double root
+    by ~sqrt(eps).  The proof's second choice of (a, c, d) asks for
+    2t + s > 4, that is t > 4 - s - t, the middle entry, which the
+    smallest entry never exceeds.
     """
     x, y, z = triple
     factor = 8.0 / (x + y + z)
     t, _, big = sorted((x * factor, y * factor, z * factor))
     s = big - 4.0
     a = 4.0 - t
-    d = t * t / 4.0
     c = (-((2 * t + s - 4.0) ** 2) - (8.0 - 3.0 * t) * (2 * t + s - 4.0) + t * (4.0 - t)) / 4.0
-    b = 4.0 - a
     l1, l3 = _quad_roots(a, c)
-    l2, l4 = _quad_roots(b, d)
+    l2 = l4 = t / 2.0
     w1, w2, w3, w4 = _clamp_nonneg((l1, l2, l3, l4), scale=8.0)
     return w1 / factor, w2 / factor, w3 / factor, w4 / factor
 

@@ -1,12 +1,16 @@
 """Closed-form cubics and the three-real-root solver."""
 
+import math
+
 import numpy as np
 import pytest
 
 from lapreal import forward_spectrum
 from lapreal.cubic import (
+    COEFFS,
     CubicCoeffs,
     NoThreeRealRoots,
+    _depressed,
     cubic_discriminant,
     cubic_real_roots,
     laplacian_cubic_roots,
@@ -15,7 +19,7 @@ from lapreal.cubic import (
     solve_cubic_real,
     solve_cubic_real_batch,
 )
-from lapreal.graphs import CYCLE4, KITE, PATH4, STAR, build_laplacian, complete
+from lapreal.graphs import CYCLE4, KITE, PATH4, STAR, build_laplacian, build_laplacians, complete
 
 
 class TestReducedCubic:
@@ -106,6 +110,12 @@ class TestCubicRealRoots:
         assert len(roots) == 1
         np.testing.assert_allclose(roots[0], 2.0, atol=1e-12)
 
+    @pytest.mark.parametrize("root", [1e-4, -3.0])
+    def test_cardano_root_of_either_sign(self, root):
+        # (lambda - root)(lambda^2 + 1); for a small root the two cube roots
+        # of Cardano's sum nearly cancel
+        assert cubic_real_roots(-root, 1.0, -root) == pytest.approx([root], rel=1e-15)
+
 
 class TestDiscriminant:
     def test_zero_at_double_root(self):
@@ -158,6 +168,71 @@ class TestBatchSolver:
         p2, p1, p0 = reduced_cubic_batch(STAR, [[1.0, 1.0, 1.0], [bad, 1.0, 1.0]])
         with pytest.raises(ValueError, match="row 1: non-finite coefficient p2"):
             solve_cubic_real_batch(p2, p1, p0, strict=strict)
+
+
+def scalar_kernel(c):
+    return np.array(solve_cubic_real(c))
+
+
+def batch_kernel(c):
+    return solve_cubic_real_batch([c.p2], [c.p1], [c.p0])[0]
+
+
+@pytest.mark.parametrize("solve", [scalar_kernel, batch_kernel], ids=["scalar", "batch"])
+class TestOutlierKernel:
+    """Each branch of the outlier root, its Newton step and the deflated pair."""
+
+    @pytest.mark.parametrize(
+        "topology, weights, q_sign, cardano",
+        [
+            pytest.param(STAR, (0.3, 0.3, 0.7), -1.0, False, id="largest"),
+            pytest.param(CYCLE4, (0.1, 0.7, 0.1, 0.7), 1.0, False, id="smallest"),
+            # a double root where roundoff makes h = 1.8e-15 > 0: Cardano, then sigma/2 twice
+            pytest.param(STAR, (1.0724610869304878,) * 3, -1.0, True, id="cardano"),
+        ],
+    )
+    def test_against_eigvalsh(self, solve, topology, weights, q_sign, cardano):
+        c = reduced_cubic(topology, weights)
+        _, q, h, _ = _depressed(c.p2, c.p1, c.p0)
+        assert (math.copysign(1.0, q), h > 0.0) == (q_sign, cardano)
+        want = np.linalg.eigvalsh(build_laplacian(topology, weights))[1:]
+        assert np.abs(solve(c) - want).max() <= 1e-12 * want[-1]
+
+    @pytest.mark.parametrize("root", [0.0, 2.0, 3.0])
+    def test_triple_root(self, solve, root):
+        c = CubicCoeffs(-3.0 * root, 3.0 * root * root, -(root**3))
+        assert solve(c).tolist() == [root] * 3
+
+    def test_zero_outlier(self, solve):
+        # the cubic's zero root is its outlier, so r is ~1e-32 and -p0/r would
+        # give the pair as (-0, 2.2237); the pair is 2*w4 and 2*w1
+        weights = (0.5559490693467734, 0.0, 0.0, 0.5559213528131506)
+        got = solve(reduced_cubic(KITE, weights))
+        want = np.linalg.eigvalsh(build_laplacian(KITE, weights))[1:]
+        assert abs(got[0]) <= 1e-15
+        np.testing.assert_allclose(got[1:], (1.11184270, 1.11189813), rtol=1e-8)
+        # the pair is 5.5e-5 apart, so the rounding of p1 = 4*w1*w4 alone moves
+        # its exact roots 6.7e-12 from eigvalsh's: the float cubic's limit
+        assert np.abs(got - want).max() <= 1e-11 * want[-1]
+
+
+def test_seeded_laplacian_roots_match_eigvalsh():
+    # 1.06e-8 of the largest root (6.5e-14 now) when each of the three
+    # trigonometric roots was polished on its own and a close pair re-solved
+    rng = np.random.default_rng(36)
+    worst = 0.0
+    for topology in (STAR, CYCLE4, PATH4, KITE):
+        for scale in (1e-3, 1.0, 1e3):
+            w = rng.random((500, topology.edge_count)) * scale
+            w[rng.random(w.shape) < 0.2] = 0.0
+            coeffs = COEFFS[topology.kind](*w.T)
+            want = np.linalg.eigvalsh(build_laplacians(topology, w))[:, 1:]
+            top = want[:, 2:]
+            got = solve_cubic_real_batch(*coeffs)
+            scalar = [solve_cubic_real(CubicCoeffs(*c)) for c in zip(*(p.tolist() for p in coeffs))]
+            for roots in (got, np.array(scalar)):
+                worst = max(worst, (np.abs(roots - want) / np.where(top > 0.0, top, 1.0)).max())
+    assert worst <= 1e-11
 
 
 class TestForwardSpectrumScale:

@@ -41,10 +41,13 @@ GOLDEN_PER_TOPOLOGY = 600
 
 #: sha256 of repr(golden_records()) written at commit 6086437, re-pinned when the
 #: path's cubes became products, which moved only the last bits of 45 path
-#: certificate values, and when every residual came to read the Laplacian's
-#: LAPACK spectrum, which moved 1040 of the 1223 residuals and nothing else; no
-#: verdict, detail or weight changed (CHANGES.md lists them)
-GOLDEN_DIGEST = "29cc263117d2826bdb993c6bdc601a083839806300245066ed1f592eb9724159"
+#: certificate values, when every residual came to read the Laplacian's LAPACK
+#: spectrum, which moved 1040 of the 1223 residuals and nothing else, and when
+#: the cubic became one outlier root plus a deflated pair and the cycle's w2 = w4
+#: became t/2, which moved the weights of 106 star, 137 cycle and 114 path
+#: records and 264 of their residuals; no verdict or certificate changed
+#: (CHANGES.md lists them)
+GOLDEN_DIGEST = "a8fee1deec091ba3dbd6284e0dda2b1f4bfcbb7e2e976d52f3fa12f73a5b0687"
 
 FIXED_TARGETS = (
     (0.0, 0.0, 0.0),
@@ -148,13 +151,16 @@ def test_reduced_cubic_rejects_non_finite_weights(wrap, bad):
 
 #: sha256 of repr(cubic_root_records()) written at commit 88ac83a and re-pinned
 #: when the discriminant's cubes became products, which moved only the last
-#: digits of 13 NoThreeRealRoots messages (CHANGES.md lists them)
-CUBIC_ROOTS_DIGEST = "b6179320c55f8d320e6c23d7da689710d5fa6cdca33d0a931dd89027af5fb0c3"
+#: digits of 13 NoThreeRealRoots messages, and when the cubic became one outlier
+#: root plus a deflated pair, which moved the roots of 1670 of the 1954 records
+#: and no NoThreeRealRoots record (CHANGES.md lists them)
+CUBIC_ROOTS_DIGEST = "3aa3ea787c063a892b402540a35399ac27c31d1a0256a075deea52601ba2e89e"
 
 #: sha256 of the RoundtripReport lines of roundtrip_reports(), written at commit 88ac83a
-#: and re-pinned when the Jacobi step became the symmetric two-sided update, which
-#: moved only max_residual fields (the Jacobi check's roundoff; CHANGES.md lists them)
-ROUNDTRIP_DIGEST = "27db57372741a205036fd06996d3a6ee24225141330f7194f8c374f27984fa5e"
+#: and re-pinned when the Jacobi step became the symmetric two-sided update, and when
+#: the cubic became one outlier root plus a deflated pair; both moved only
+#: max_residual fields (CHANGES.md lists them)
+ROUNDTRIP_DIGEST = "a88fa46a80f56127fd25660f1183bb7d8747b086c07930cde313bf073bd0a68c"
 
 
 def cubic_inputs():

@@ -211,6 +211,18 @@ class TestInvertCycle:
     def test_zero_target(self):
         assert invert_cycle((0.0, 0.0, 0.0)).weights == (0.0, 0.0, 0.0, 0.0)
 
+    def test_double_root_weights_are_equal(self):
+        # w2 and w4 are the double root t/2 of u^2 - (4 - a)*u + d; solving
+        # that quadratic in floats split them in 487 of these 3001 targets
+        rng = np.random.default_rng(777)
+        u = np.sort(rng.random((4000, 2)), axis=1)
+        rows = np.stack([u[:, 0], u[:, 1] - u[:, 0], 1.0 - u[:, 1]], axis=1)
+        rows *= 10.0 ** rng.uniform(-3.0, 3.0, 4000)[:, None]
+        targets = [t for t in map(tuple, rows.tolist()) if CHECKS["cycle"](t).realizable]
+        assert len(targets) > 2000
+        split = [t for t in targets if invert_cycle(t).weights[1] != invert_cycle(t).weights[3]]
+        assert split == []
+
 
 class TestInvertPath:
     def test_golden_unit_path(self):

@@ -101,6 +101,13 @@ class TestRoundtripSuite:
         assert report.infeasible_count == 0
         assert report.max_residual <= 1e-8
 
+    def test_path_seed_401(self):
+        # 4.25e-8 when the Cardano branch of the path's middle-weight cubic
+        # summed two cube roots that cancel
+        report = roundtrip_suite(PATH4, SamplerConfig(seed=401, samples=1000))
+        assert report.infeasible_count == 0
+        assert report.max_residual <= 1e-8
+
     def test_complete_roundtrip(self):
         report = roundtrip_suite(complete(6), SamplerConfig(seed=11, samples=200))
         assert report.max_residual <= 1e-7
