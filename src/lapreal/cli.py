@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import forward_spectrum
-from .graphs import Topology, complete
+from .graphs import FOUR_VERTEX_KINDS, Topology, complete
 from .inverse import INVERTERS, NotRealizable, invert_complete, suspend_spectrum
 from .oracle import (
     GENERATOR_NAME,
@@ -23,7 +23,7 @@ from .oracle import (
 from .realizability import CHECKS, _fmt, check_complete
 from .region import render_region
 
-GRAPH_NAMES = ("star", "cycle", "path", "kite", "k4", "kn")
+GRAPH_NAMES = (*FOUR_VERTEX_KINDS, "k4", "kn")
 
 
 class UsageError(Exception):

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CYCLE_KIND, KITE_KIND, PATH_KIND, STAR_KIND, Topology
-from .graphs import float_weights, unit_scaled
+from .graphs import Topology, float_weights, unit_scaled
 
 #: relative scale for the negative-discriminant rejection band
 DISC_TOL = 1e-9
@@ -75,11 +74,20 @@ def _path_coeffs(l1, l2, l3):
 #: coefficient formula of each four-vertex topology, for Python floats
 #: and numpy arrays alike; integer literals keep it exact on Fractions
 COEFFS = {
-    STAR_KIND: _star_coeffs,
-    CYCLE_KIND: _cycle_coeffs,
-    PATH_KIND: _path_coeffs,
-    KITE_KIND: _kite_coeffs,
+    "star": _star_coeffs,
+    "cycle": _cycle_coeffs,
+    "path": _path_coeffs,
+    "kite": _kite_coeffs,
 }
+
+
+def _coeffs(topology: Topology):
+    """The ``COEFFS`` formula of ``topology``; K_n has none."""
+    if topology.kind not in COEFFS:
+        raise ValueError(
+            f"no closed-form cubic for {topology.kind}(order={topology.order}); use spectrum_numeric"
+        )
+    return COEFFS[topology.kind]
 
 
 def reduced_cubic(topology: Topology, weights) -> CubicCoeffs:
@@ -88,13 +96,7 @@ def reduced_cubic(topology: Topology, weights) -> CubicCoeffs:
     The weights are read and checked by ``graphs.float_weights``.
     """
     w = float_weights(topology, weights)
-    coeffs = COEFFS.get(topology.kind)
-    if coeffs is None:
-        raise ValueError(
-            f"no closed-form cubic for {topology.kind}(order={topology.order}); "
-            "use spectrum_numeric"
-        )
-    return CubicCoeffs(*coeffs(*w))
+    return CubicCoeffs(*_coeffs(topology)(*w))
 
 
 def reduced_cubic_batch(topology: Topology, weight_rows: np.ndarray):
@@ -102,9 +104,7 @@ def reduced_cubic_batch(topology: Topology, weight_rows: np.ndarray):
     w = np.asarray(weight_rows, dtype=float)
     if w.ndim != 2 or w.shape[1] != topology.edge_count:
         raise ValueError(f"expected shape (batch, {topology.edge_count}), got {w.shape}")
-    if topology.kind not in COEFFS:
-        raise ValueError(f"no closed-form cubic for {topology.kind}")
-    return COEFFS[topology.kind](*(w[:, k] for k in range(w.shape[1])))
+    return _coeffs(topology)(*(w[:, k] for k in range(w.shape[1])))
 
 
 def cubic_discriminant(p2: float, p1: float, p0: float) -> float:

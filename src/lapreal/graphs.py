@@ -1,7 +1,12 @@
 """Graph topologies and weighted Laplacian construction.
 
 Supported topologies are the four-vertex star, cycle, path and kite
-graphs plus complete graphs K_n.  Edge-index conventions (vertices are
+graphs plus complete graphs K_n.  ``_EDGE_LISTS`` is the one registry of
+the four-vertex kinds: ``FOUR_VERTEX_KINDS`` and ``STAR``...``KITE`` are
+read off it, and every per-kind table of the other modules (``COEFFS``,
+``MASKS``, ``CHECKS``, ``INVERTERS``) and every kind list (the region
+panels, the CLI graphs, the oracle's streams) follows its order.
+Edge-index conventions (vertices are
 0-based internally; the docs below use the 1-based labels of the figures):
 
 * star:  e1 = v1v4, e2 = v2v4, e3 = v3v4 (v4 is the center)
@@ -18,20 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STAR_KIND = "star"
-CYCLE_KIND = "cycle"
-PATH_KIND = "path"
-KITE_KIND = "kite"
 COMPLETE_KIND = "complete"
 
-FOUR_VERTEX_KINDS = (STAR_KIND, CYCLE_KIND, PATH_KIND, KITE_KIND)
-
 _EDGE_LISTS = {
-    STAR_KIND: ((0, 3), (1, 3), (2, 3)),
-    CYCLE_KIND: ((0, 1), (1, 2), (2, 3), (3, 0)),
-    PATH_KIND: ((0, 1), (1, 2), (2, 3)),
-    KITE_KIND: ((0, 1), (1, 2), (0, 2), (2, 3)),
+    "star": ((0, 3), (1, 3), (2, 3)),
+    "cycle": ((0, 1), (1, 2), (2, 3), (3, 0)),
+    "path": ((0, 1), (1, 2), (2, 3)),
+    "kite": ((0, 1), (1, 2), (0, 2), (2, 3)),
 }
+
+FOUR_VERTEX_KINDS = tuple(_EDGE_LISTS)
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,7 @@ class Topology:
         return len(_EDGE_LISTS[self.kind])
 
 
-STAR = Topology(STAR_KIND)
-CYCLE4 = Topology(CYCLE_KIND)
-PATH4 = Topology(PATH_KIND)
-KITE = Topology(KITE_KIND)
+STAR, CYCLE4, PATH4, KITE = map(Topology, FOUR_VERTEX_KINDS)
 
 
 def complete(n: int) -> Topology:
@@ -92,11 +90,6 @@ def float_weights(topology: Topology, weights) -> tuple[float, ...]:
     if any(v < 0 for v in w):
         raise ValueError(f"negative edge weight in {weights!r}")
     return w
-
-
-def check_weights(topology: Topology, weights) -> np.ndarray:
-    """Validate a weight vector for ``topology`` and return it as an array."""
-    return np.array(float_weights(topology, weights))
 
 
 def build_laplacian(topology: Topology, weights) -> np.ndarray:

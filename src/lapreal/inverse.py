@@ -5,7 +5,8 @@ Cycle and kite work under the sum-8 normalization and rescale back; the
 path works with the sum 2f.  ``invert_complete`` realizes any
 nonnegative tuple on a complete graph through repeated suspensions.
 
-``_inverter`` builds each four-vertex solver: it validates and scales the
+``_inverter`` builds each four-vertex solver of ``INVERTERS``, from which
+``invert_star``...``invert_kite`` are unpacked: it validates and scales the
 target as ``check_*`` does and lets the topology's mask decide on the same
 floats, so a check and an invert cannot disagree.  A solution's ``residual``
 and a rejection's ``certificate`` are computed when first read, then cached.
@@ -244,17 +245,13 @@ def _kite_weights(triple) -> tuple[float, ...]:
     return w1 / factor, w2 / factor, w3 / factor, w4 / factor
 
 
-invert_star = _inverter(STAR, _star_weights)
-invert_cycle = _inverter(CYCLE4, _cycle_weights)
-invert_path = _inverter(PATH4, _path_weights)
-invert_kite = _inverter(KITE, _kite_weights)
-
 INVERTERS = {
-    "star": invert_star,
-    "cycle": invert_cycle,
-    "path": invert_path,
-    "kite": invert_kite,
+    "star": _inverter(STAR, _star_weights),
+    "cycle": _inverter(CYCLE4, _cycle_weights),
+    "path": _inverter(PATH4, _path_weights),
+    "kite": _inverter(KITE, _kite_weights),
 }
+invert_star, invert_cycle, invert_path, invert_kite = INVERTERS.values()
 
 
 def suspend_spectrum(spectrum, c: float) -> np.ndarray:

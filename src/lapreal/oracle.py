@@ -18,14 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cubic import ZERO_CLAMP, reduced_cubic_batch, solve_cubic_real_batch
-from .graphs import COMPLETE_KIND, Topology, build_laplacians
+from .graphs import COMPLETE_KIND, FOUR_VERTEX_KINDS, Topology, build_laplacians
 from .inverse import INVERTERS, InternalInfeasible, NotRealizable, invert_complete
 from .jacobi import jacobi_spectra
 from .realizability import CHECKS, MASKS
 
 GENERATOR_NAME = "numpy-PCG64"
 
-_KIND_STREAM = {"star": 1, "cycle": 2, "path": 3, "kite": 4, "complete": 5}
+_KIND_STREAM = {kind: i for i, kind in enumerate((*FOUR_VERTEX_KINDS, COMPLETE_KIND), 1)}
 _PURPOSE_STREAM = {"forward": 1, "grid": 2, "fraction": 3, "roundtrip": 4}
 
 

@@ -13,8 +13,9 @@ Monte Carlo oracle and the region renderer call them on arrays.  They
 assume finite input; the checks reject NaN and inf before calling them.
 A mask and its check's certificate share one formula: the star product
 and the path's two sides are each written once, in a private helper
-that both call, and every ``check_*`` is built by ``_checker`` from its
-mask and certificate.
+that both call.  ``CHECKS`` holds each kind's check, built by ``_checker``
+from its mask and certificate, and ``check_star``...``check_kite`` are
+unpacked from it.
 
 A check pays only for what its caller reads.  A realizable triple gets
 the one shared ``_REALIZABLE`` verdict; a rejected one gets a ``Verdict``
@@ -224,8 +225,8 @@ def _kite_certificate(x, y, z) -> Certificate:
 _REALIZABLE = Verdict(True)
 
 
-def _checker(name, mask, certificate):
-    """Check ``name``: validate and scale once, run ``mask``, defer ``certificate`` on rejection."""
+def _checker(kind, mask, certificate):
+    """``check_<kind>``: validate and scale once, run ``mask``, defer ``certificate`` on rejection."""
     lo, hi = UNIT_LOW, UNIT_HIGH  # closure cells: cheaper per call than global lookups
     new = object.__new__
 
@@ -243,17 +244,20 @@ def _checker(name, mask, certificate):
         fields["realizable"], fields["_pending"] = False, (certificate, x, y, z, e)
         return verdict
 
-    check.__name__ = check.__qualname__ = name
+    check.__name__ = check.__qualname__ = f"check_{kind}"
     return check
 
 
-check_star = _checker("check_star", star_mask, _star_certificate)
-check_cycle = _checker("check_cycle", cycle_mask, _cycle_certificate)
-# the cycle condition first, for speed: a triple that fails it skips the squared cubic
-check_path = _checker(
-    "check_path", lambda x, y, z: cycle_mask(x, y, z) and path_mask(x, y, z), _path_certificate
-)
-check_kite = _checker("check_kite", kite_mask, _kite_certificate)
+CHECKS = {
+    "star": _checker("star", star_mask, _star_certificate),
+    "cycle": _checker("cycle", cycle_mask, _cycle_certificate),
+    # the cycle condition first, for speed: a triple that fails it skips the squared cubic
+    "path": _checker(
+        "path", lambda x, y, z: cycle_mask(x, y, z) and path_mask(x, y, z), _path_certificate
+    ),
+    "kite": _checker("kite", kite_mask, _kite_certificate),
+}
+check_star, check_cycle, check_path, check_kite = CHECKS.values()
 
 
 def check_complete(target, n_plus_1: int) -> Verdict:
@@ -265,12 +269,4 @@ def check_complete(target, n_plus_1: int) -> Verdict:
             f"K_{n_plus_1} expects {n_plus_1 - 1} target eigenvalues, got {len(vals)}"
         )
     return _REALIZABLE
-
-
-CHECKS = {
-    "star": check_star,
-    "cycle": check_cycle,
-    "path": check_path,
-    "kite": check_kite,
-}
 

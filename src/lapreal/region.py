@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import FOUR_VERTEX_KINDS
 from .realizability import MASKS
 
-PANEL_ORDER = ("star", "cycle", "path", "kite", "k4")
+PANEL_ORDER = (*FOUR_VERTEX_KINDS, "k4")
 
 #: panel titles that differ from the panel's name
 _TITLES = {"k4": "K4"}

@@ -13,9 +13,11 @@ import pytest
 from lapreal.cubic import reduced_cubic_batch, solve_cubic_real_batch
 from lapreal.graphs import (
     CYCLE4,
+    FOUR_VERTEX_KINDS,
     KITE,
     PATH4,
     STAR,
+    Topology,
     build_laplacian,
     build_laplacians,
     complete,
@@ -38,7 +40,7 @@ from lapreal.oracle import (
 from lapreal.realizability import MASKS
 from lapreal.region import PANEL_ORDER, evaluate_grid, write_svg
 
-FOUR = [STAR, CYCLE4, PATH4, KITE]
+FOUR = list(map(Topology, FOUR_VERTEX_KINDS))
 N_SAMPLES = 100_000
 
 

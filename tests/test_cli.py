@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from lapreal.cli import build_parser, main
+from lapreal.cli import GRAPH_NAMES, build_parser, main
+from lapreal.graphs import FOUR_VERTEX_KINDS
 
 
 def run(capsys, *argv):
@@ -331,7 +332,7 @@ class TestOverflowingSum:
     # traceback with exit 1
     # k4 and kn printed realizable=true, invert with residual=5.5e+307
     @pytest.mark.parametrize("command", ["check", "invert"])
-    @pytest.mark.parametrize("graph", ["star", "cycle", "path", "kite", "k4", "kn"])
+    @pytest.mark.parametrize("graph", GRAPH_NAMES)
     def test_usage_error(self, capsys, command, graph):
         code, out, err = run(capsys, command, "--graph", graph, "--triple", "1.5e308,1e308,4e307")
         assert (code, out) == (2, "")
@@ -343,7 +344,7 @@ class TestOutOfRangeTarget:
     # here, so the cycle and kite rows, which invert now solves, keep the ids
     # of the star and path rows stable
     TARGETS = [("check", "star"), ("check", "path")] + [
-        ("invert", graph) for graph in ("star", "cycle", "path", "kite")
+        ("invert", graph) for graph in FOUR_VERTEX_KINDS
     ]
 
     # each ended in an OverflowError traceback, then in a usage error (exit 2)

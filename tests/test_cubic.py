@@ -19,7 +19,10 @@ from lapreal.cubic import (
     solve_cubic_real,
     solve_cubic_real_batch,
 )
-from lapreal.graphs import CYCLE4, KITE, PATH4, STAR, build_laplacian, build_laplacians, complete
+from lapreal.graphs import CYCLE4, FOUR_VERTEX_KINDS, KITE, PATH4, STAR, Topology
+from lapreal.graphs import build_laplacian, build_laplacians, complete
+
+FOUR = list(map(Topology, FOUR_VERTEX_KINDS))
 
 
 class TestReducedCubic:
@@ -221,7 +224,7 @@ def test_seeded_laplacian_roots_match_eigvalsh():
     # trigonometric roots was polished on its own and a close pair re-solved
     rng = np.random.default_rng(36)
     worst = 0.0
-    for topology in (STAR, CYCLE4, PATH4, KITE):
+    for topology in FOUR:
         for scale in (1e-3, 1.0, 1e3):
             w = rng.random((500, topology.edge_count)) * scale
             w[rng.random(w.shape) < 0.2] = 0.0
@@ -239,7 +242,7 @@ class TestForwardSpectrumScale:
     # weights whose largest entry is outside [2**-60, 2**60] are solved at
     # an exact power-of-two rescaling; the cycle at 1e40 used to overflow in
     # the discriminant band and the star at 1e-120 to divide by zero
-    @pytest.mark.parametrize("topo", [STAR, CYCLE4, PATH4, KITE])
+    @pytest.mark.parametrize("topo", FOUR)
     @pytest.mark.parametrize("scale", [1e-150, 1e-120, 1e-60, 1e-20, 1e20, 1e40, 1e100, 1e150])
     def test_matches_eigvalsh_outside_native_range(self, topo, scale):
         rng = np.random.default_rng([11, topo.edge_count])
@@ -248,7 +251,7 @@ class TestForwardSpectrumScale:
             want = np.linalg.eigvalsh(build_laplacian(topo, w))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("topo", [STAR, CYCLE4, PATH4, KITE])
+    @pytest.mark.parametrize("topo", FOUR)
     def test_unchanged_inside_native_range(self, topo):
         rng = np.random.default_rng([12, topo.edge_count])
         for scale in (2.0**-60, 1e-9, 1.0, 1e9, 2.0**60):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from lapreal.cubic import COEFFS
+from lapreal.graphs import FOUR_VERTEX_KINDS
 from lapreal.inverse import INVERTERS
 from lapreal.realizability import CHECKS
 
@@ -28,7 +29,7 @@ DRAWS = 900
 
 def targets(kind):
     """Seeded realizable targets over scales 1e-3..1e3; a third are ties (a, a, b) and permutations."""
-    rng = np.random.default_rng([2718, ("star", "cycle", "path", "kite").index(kind)])
+    rng = np.random.default_rng([2718, FOUR_VERTEX_KINDS.index(kind)])
     u = np.sort(rng.random((DRAWS, 2)), axis=1)
     rows = np.stack([u[:, 0], u[:, 1] - u[:, 0], 1.0 - u[:, 1]], axis=1)
     ties = DRAWS // 3

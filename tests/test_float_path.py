@@ -21,14 +21,15 @@ from lapreal.cubic import (
     reduced_cubic,
     solve_cubic_real,
 )
-from lapreal.graphs import CYCLE4, KITE, PATH4, STAR, build_laplacian
+from lapreal.graphs import CYCLE4, FOUR_VERTEX_KINDS, KITE, PATH4, STAR, Topology, build_laplacian
 from lapreal import inverse
 from lapreal.jacobi import spectrum_numeric
 from lapreal.inverse import INVERTERS, NotRealizable
 from lapreal.oracle import SamplerConfig, roundtrip_suite
 from lapreal.realizability import CHECKS
 
-KINDS = ("star", "cycle", "path", "kite")
+KINDS = FOUR_VERTEX_KINDS
+TOPOLOGIES = {kind: Topology(kind) for kind in KINDS}
 
 #: star targets with |f1 f2 f3| / sum^6 below this are left out of the
 #: golden set, and star sums stay in [1, 10]: near the star boundary and
@@ -167,7 +168,7 @@ def cubic_inputs():
     """Seeded Laplacian cubics of every topology over three scales, plus one-real-root cubics."""
     rng = np.random.default_rng(77)
     out = []
-    for topology in (STAR, CYCLE4, PATH4, KITE):
+    for topology in TOPOLOGIES.values():
         for scale in (1e-3, 1.0, 1e3):
             w = rng.random((150, topology.edge_count)) * scale
             w[rng.random(w.shape) < 0.2] = 0.0
@@ -206,7 +207,7 @@ def roundtrip_reports():
         line
         for seed in (1, 2, 3)
         for samples in (1000, 15000)
-        for topology in (STAR, CYCLE4, PATH4, KITE)
+        for topology in TOPOLOGIES.values()
         for line in roundtrip_suite(topology, SamplerConfig(seed=seed, samples=samples)).lines()
     ]
 
@@ -241,9 +242,6 @@ def test_rejected_invert_carries_check_certificate(kind):
 # cubes became products, which moved only the last bits of 20 path certificate
 # values (CHANGES.md lists them).
 REJECTION_DIGEST = "d923906ddde6aa93120ea4496c27bc916940fb679d9490dc4bd4ba247ec5e200"
-
-TOPOLOGIES = dict(zip(KINDS, (STAR, CYCLE4, PATH4, KITE)))
-
 
 def rejected_targets(kind):
     rng = np.random.default_rng([37, KINDS.index(kind)])

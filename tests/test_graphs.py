@@ -8,19 +8,20 @@ import pytest
 
 from lapreal.graphs import (
     CYCLE4,
+    FOUR_VERTEX_KINDS,
     KITE,
     PATH4,
     STAR,
     Topology,
     build_laplacian,
     build_laplacians,
-    check_weights,
     complete,
+    float_weights,
     scale_weights,
     unit_scaled,
 )
 
-ALL_FOUR = [STAR, CYCLE4, PATH4, KITE]
+ALL_FOUR = list(map(Topology, FOUR_VERTEX_KINDS))
 
 
 class TestTopology:
@@ -58,23 +59,24 @@ class TestTopology:
 
 
 class TestCheckWeights:
+    """The weight checks of ``float_weights``, which every weight reader calls."""
+
     def test_wrong_length(self):
         with pytest.raises(ValueError):
-            check_weights(STAR, [1.0, 1.0])
+            float_weights(STAR, [1.0, 1.0])
 
     def test_negative_weight(self):
         with pytest.raises(ValueError):
-            check_weights(CYCLE4, [1.0, -0.5, 1.0, 1.0])
+            float_weights(CYCLE4, [1.0, -0.5, 1.0, 1.0])
 
     def test_zero_weights_allowed(self):
-        w = check_weights(KITE, [0.0, 0.0, 0.0, 0.0])
-        assert np.all(w == 0.0)
+        assert float_weights(KITE, [0.0, 0.0, 0.0, 0.0]) == (0.0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_rejected(self, bad):
         # NaN used to pass through into a NaN Laplacian and spectrum
         with pytest.raises(ValueError, match=f"non-finite edge weight {bad}"):
-            check_weights(STAR, [1.0, bad, 1.0])
+            float_weights(STAR, [1.0, bad, 1.0])
         with pytest.raises(ValueError, match="non-finite"):
             build_laplacian(complete(4), [1.0, 1.0, bad, 1.0, 1.0, 1.0])
         rows = np.ones((5, 4))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lapreal import forward_spectrum
-from lapreal.graphs import CYCLE4, KITE, PATH4, STAR, build_laplacian, complete
+from lapreal.graphs import FOUR_VERTEX_KINDS, KITE, PATH4, STAR, build_laplacian
 from lapreal import inverse
 from lapreal.inverse import (
     INVERTERS,
@@ -34,7 +34,7 @@ def roundtrip_residual(solution, target):
     return float(np.max(np.abs(spec - want)))
 
 
-@pytest.mark.parametrize("invert", [invert_star, invert_cycle, invert_path, invert_kite])
+@pytest.mark.parametrize("invert", list(INVERTERS.values()))
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_target_rejected(invert, bad):
     # invert_kite((inf, 1, 1)) used to end in a ZeroDivisionError
@@ -42,14 +42,14 @@ def test_non_finite_target_rejected(invert, bad):
         invert((bad, 1.0, 1.0))
 
 
-@pytest.mark.parametrize("invert", [invert_star, invert_cycle, invert_path, invert_kite])
+@pytest.mark.parametrize("invert", list(INVERTERS.values()))
 def test_overflowing_sum_rejected(invert):
     # invert_kite and invert_cycle ended in a ZeroDivisionError here
     with pytest.raises(ValueError, match="sum overflows"):
         invert((1.5e308, 1e308, 4e307))
 
 
-@pytest.mark.parametrize("invert", [invert_star, invert_cycle, invert_path, invert_kite, invert_complete])
+@pytest.mark.parametrize("invert", [*INVERTERS.values(), invert_complete])
 @pytest.mark.parametrize("bad", [None, 5.0, [1.0, None], [1.0, None, 2.0]])
 def test_target_that_is_not_numbers_rejected(invert, bad):
     # invert_complete([1, None]) and the four-vertex inverses ended in a TypeError
@@ -60,7 +60,7 @@ def test_target_that_is_not_numbers_rejected(invert, bad):
 class TestNotRealizable:
     CERT = Certificate("star-length-cubic", -1.5, "length cubic has complex roots")
 
-    @pytest.mark.parametrize("kind", ["star", "cycle", "path", "kite"])
+    @pytest.mark.parametrize("kind", FOUR_VERTEX_KINDS)
     def test_raised_with_kind_and_triple(self, kind):
         triple = (0.3, 0.32, 0.38)
         with pytest.raises(NotRealizable) as info:
@@ -86,7 +86,7 @@ class TestNotRealizable:
             assert exc.certificate is None and str(exc) == "no three real roots"
 
 
-@pytest.mark.parametrize("kind", ["star", "cycle", "path", "kite"])
+@pytest.mark.parametrize("kind", FOUR_VERTEX_KINDS)
 def test_power_of_two_scale_agrees_with_check(kind):
     # at 2**k out of range the inverse decides and builds on the same scaled
     # triple as the check, so it succeeds exactly when the check says realizable

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from lapreal import forward_spectrum, invert_complete
-from lapreal.graphs import CYCLE4, KITE, PATH4, STAR, build_laplacian, build_laplacians, complete
+from lapreal.graphs import CYCLE4, FOUR_VERTEX_KINDS, KITE, PATH4, STAR, Topology
+from lapreal.graphs import build_laplacian, build_laplacians, complete
 from lapreal import jacobi
 from lapreal.jacobi import (
     OFFDIAG_TOL,
@@ -304,7 +305,7 @@ class TestFloatSweepParity:
         # it gets the rotations, and the bits, it gets alone
         rng = np.random.default_rng([1, 1])
         stacks = [build_laplacians(topo, rng.uniform(0.0, 4.0, (400, topo.edge_count)))
-                  for topo in (STAR, CYCLE4, PATH4, KITE)]
+                  for topo in map(Topology, FOUR_VERTEX_KINDS)]
         # 25 diagonal matrices retire at the first test, before any sweep, and
         # the 15 dense ones at later tests
         a = rng.standard_normal((40, 6, 6))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lapreal.graphs import CYCLE4, KITE, PATH4, STAR, complete
+from lapreal.graphs import CYCLE4, FOUR_VERTEX_KINDS, KITE, PATH4, STAR, Topology, complete
 from lapreal.oracle import (
     SamplerConfig,
     estimate_region_fraction,
@@ -13,7 +13,7 @@ from lapreal.oracle import (
     sample_simplex,
 )
 
-FOUR = [STAR, CYCLE4, PATH4, KITE]
+FOUR = list(map(Topology, FOUR_VERTEX_KINDS))
 
 
 class TestSamplerConfig:

@@ -24,7 +24,7 @@ from lapreal.realizability import (
     kite_mask,
 )
 
-ALL_CHECKS = [check_star, check_cycle, check_path, check_kite]
+ALL_CHECKS = list(CHECKS.values())
 
 #: exponents k of the exact scales 2**k, out of range of graphs.unit_scaled
 POWERS = (-1000, -500, -200, -100, 100, 200, 500, 1000)
