@@ -136,12 +136,13 @@ def _roots(p2, p1, p0, three=True, clamp=True):
     flat, and with one it is Cardano's form taking the larger cube root, so
     nothing cancels (W. Kahan, "To Solve a Real Cubic Equation", 1986;
     J. Blinn, "How to Solve a Cubic Equation", IEEE CG&A 2006-07).  One
-    guarded Newton step polishes r; the other two roots solve the deflated
-    quadratic u^2 - sigma*u + prod, the larger by magnitude first and the
-    smaller as prod over it.  With ``three``, a discriminant below the
-    roundoff band raises :class:`NoThreeRealRoots` and a lone real root
-    inside the band comes with the double root sigma/2; with ``clamp`` too,
-    roots in (-ZERO_CLAMP, 0) come back as 0.
+    Newton step polishes r unless |f'(r)| <= 1e-6*r^2, a guard that reads
+    the same at every scale, as f'(r) is homogeneous of degree 2; the other
+    two roots solve the deflated quadratic u^2 - sigma*u + prod, the larger
+    by magnitude first and the smaller as prod over it.  With ``three``, a
+    discriminant below the roundoff band raises :class:`NoThreeRealRoots`
+    and a lone real root inside the band comes with the double root
+    sigma/2; with ``clamp`` too, roots in (-ZERO_CLAMP, 0) come back as 0.
     """
     if three:
         disc = cubic_discriminant(p2, p1, p0)
@@ -156,8 +157,7 @@ def _roots(p2, p1, p0, three=True, clamp=True):
         mag = a - p / (3.0 * a)
     r = shift - math.copysign(mag, q)
     fp = (3.0 * r + 2.0 * p2) * r + p1
-    scale = abs(r) if abs(r) > 1.0 else 1.0  # max(1.0, abs(r)) without the call
-    if abs(fp) > 1e-6 * scale * scale:
+    if abs(fp) > 1e-6 * r * r:
         r -= (((r + p2) * r + p1) * r + p0) / fp
     sigma = -p2 - r
     if h > 0.0:
@@ -251,7 +251,7 @@ def solve_cubic_real_batch(p2, p1, p0, strict: bool = True) -> np.ndarray:
         r = shift - np.copysign(mag, q)
         f = ((r + p2) * r + p1) * r + p0
         fp = (3.0 * r + 2.0 * p2) * r + p1
-        safe = np.abs(fp) > 1e-6 * np.maximum(1.0, np.abs(r)) ** 2
+        safe = np.abs(fp) > 1e-6 * r * r
         r = np.where(safe, r - f / fp, r)
         sigma = -p2 - r
         prod = np.where(np.abs(r) > np.abs(sigma), -p0 / r, p1 - r * sigma)

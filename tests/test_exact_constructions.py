@@ -50,25 +50,11 @@ def backward_errors(kind, target):
     return abs(p2 + e1) / e1, abs(p1 - e2) / e1**2, abs(p0 + e3) / e1**3
 
 
-@pytest.mark.parametrize(
-    "kind",
-    [
-        "star",
-        "cycle",
-        pytest.param(
-            "path",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="the middle weight skips _roots' Newton step, whose guard |f'(r)| > "
-                "1e-6*max(1, |r|)**2 is absolute: on two targets of sum ~4e-3 whose smallest entry "
-                "is ~1e-3 of the others f'(r) is ~1e-7, and the unpolished r = t - p2/3 leaves 37 "
-                "ulps in p1 (ROADMAP: One accurate, scale-free cubic body)",
-            ),
-        ),
-        "kite",
-    ],
-)
+@pytest.mark.parametrize("kind", FOUR_VERTEX_KINDS)
 def test_weights_realize_the_target_coefficients(kind):
+    # the path's middle weight kept 37 ulps in p1 on two targets of sum ~4e-3 while
+    # _roots' Newton guard, |f'(r)| > 1e-6*max(1, |r|)**2, was absolute: f'(r) ~ 1e-7
+    # there, and the unpolished r = t - p2/3 was kept
     sample = targets(kind)
     assert len(sample) > 100
     # ties (a, a, b), b > 0, lie outside the star's and the path's regions or on their boundary

@@ -46,9 +46,10 @@ GOLDEN_PER_TOPOLOGY = 600
 #: spectrum, which moved 1040 of the 1223 residuals and nothing else, and when
 #: the cubic became one outlier root plus a deflated pair and the cycle's w2 = w4
 #: became t/2, which moved the weights of 106 star, 137 cycle and 114 path
-#: records and 264 of their residuals; no verdict or certificate changed
-#: (CHANGES.md lists them)
-GOLDEN_DIGEST = "a8fee1deec091ba3dbd6284e0dda2b1f4bfcbb7e2e976d52f3fa12f73a5b0687"
+#: records and 264 of their residuals, and when the cubic's Newton guard became
+#: relative, which moved the weights of 25 path records and 22 of their residuals;
+#: no verdict or certificate changed (CHANGES.md lists them)
+GOLDEN_DIGEST = "8ac63dc0d31108a0ae87a15e08feb7a3489906b9e64450f9893b67cad55376e1"
 
 FIXED_TARGETS = (
     (0.0, 0.0, 0.0),
@@ -154,8 +155,9 @@ def test_reduced_cubic_rejects_non_finite_weights(wrap, bad):
 #: when the discriminant's cubes became products, which moved only the last
 #: digits of 13 NoThreeRealRoots messages, and when the cubic became one outlier
 #: root plus a deflated pair, which moved the roots of 1670 of the 1954 records
-#: and no NoThreeRealRoots record (CHANGES.md lists them)
-CUBIC_ROOTS_DIGEST = "3aa3ea787c063a892b402540a35399ac27c31d1a0256a075deea52601ba2e89e"
+#: and no NoThreeRealRoots record, and when the Newton guard became relative,
+#: which moved the roots of 40 records (CHANGES.md lists them)
+CUBIC_ROOTS_DIGEST = "ea1be464990b1f53d2defcc5765ffd75b5f4eeff8198cb31b5dc22b42f32c00a"
 
 #: sha256 of the RoundtripReport lines of roundtrip_reports(), written at commit 88ac83a
 #: and re-pinned when the Jacobi step became the symmetric two-sided update, and when
