@@ -3,11 +3,12 @@
 Supported topologies are the four-vertex star, cycle, path and kite
 graphs plus complete graphs K_n.  ``_EDGE_LISTS`` is the one registry of
 the four-vertex kinds: ``FOUR_VERTEX_KINDS`` and ``STAR``...``KITE`` are
-read off it, and every per-kind table of the other modules (``COEFFS``,
-``MASKS``, ``CHECKS``, ``INVERTERS``) and every kind list (the region
-panels, the CLI graphs, the oracle's streams) follows its order.
-Edge-index conventions (vertices are
-0-based internally; the docs below use the 1-based labels of the figures):
+read off it, and every per-kind table (``COEFFS``, ``MASKS``, ``CHECKS``,
+``INVERTERS``) and kind list (the region panels, the CLI graphs, the
+oracle's streams) follows its order.
+
+Edge-index conventions (vertices are 0-based internally; the docs below
+use the 1-based labels of the figures):
 
 * star:  e1 = v1v4, e2 = v2v4, e3 = v3v4 (v4 is the center)
 * cycle: e1 = v1v2, e2 = v2v3, e3 = v3v4, e4 = v4v1

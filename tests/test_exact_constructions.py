@@ -52,9 +52,7 @@ def backward_errors(kind, target):
 
 @pytest.mark.parametrize("kind", FOUR_VERTEX_KINDS)
 def test_weights_realize_the_target_coefficients(kind):
-    # the path's middle weight kept 37 ulps in p1 on two targets of sum ~4e-3 while
-    # _roots' Newton guard, |f'(r)| > 1e-6*max(1, |r|)**2, was absolute: f'(r) ~ 1e-7
-    # there, and the unpolished r = t - p2/3 was kept
+    # the path read 37 ulps in p1 while _roots' Newton guard was absolute (max(1, |r|)**2)
     sample = targets(kind)
     assert len(sample) > 100
     # ties (a, a, b), b > 0, lie outside the star's and the path's regions or on their boundary
