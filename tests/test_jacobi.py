@@ -1,5 +1,6 @@
 """Round-robin Jacobi eigensolver."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -321,6 +322,44 @@ class TestFloatSweepParity:
         m[2, 3] = m[3, 2] = bad
         with pytest.raises(ValueError, match=r"non-finite entry .* in matrix 0 at \[2, 3\]"):
             jacobi_spectra(m[None])
+
+
+#: sha256 of the spectra, or error text, of jacobi_records(), written at commit 796c363
+JACOBI_DIGEST = "425e1a8d1f74156a9fb7222e6c54b6dbbfa16c4dd23f014466d6cebb8a9fdb88"
+
+
+def spectra_or_error(mats, max_sweeps=jacobi.MAX_SWEEPS):
+    try:
+        return jacobi_spectra(mats, max_sweeps=max_sweeps).tobytes()
+    except (JacobiNonConvergence, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+
+
+def jacobi_records():
+    """The forward stacks, K_n Laplacians, signed-zero stacks at 10**+-150 and sweep-limited runs."""
+    rng = np.random.default_rng([1, 1])
+    records = [spectra_or_error(build_laplacians(topo, rng.uniform(0.0, 4.0, (2500, topo.edge_count))))
+               for topo in map(Topology, FOUR_VERTEX_KINDS)]
+    for n in range(2, 13):
+        records.append(spectra_or_error(complete_laplacians(complete(n), np.random.default_rng([109, n]))[1]))
+    rng = np.random.default_rng(113)
+    for n in range(1, 13):
+        a = rng.standard_normal((5, n, n))
+        a[rng.random(a.shape) < 0.3] = 0.0
+        a[rng.random(a.shape) < 0.1] = -0.0
+        a *= 10.0 ** np.arange(-150, 151, 75)[:, None, None]
+        # the lower triangle is unread: a and its symmetric copy give the same bits
+        records += [spectra_or_error(a), spectra_or_error(np.triu(a) + np.triu(a, 1).transpose(0, 2, 1))]
+        for max_sweeps in (1, 2, 3):
+            records += [spectra_or_error(a[2:3], max_sweeps), spectra_or_error(a, max_sweeps)]
+    a[3, 0, -1] = np.inf
+    return records + [spectra_or_error(a)]
+
+
+def test_jacobi_digest():
+    records = jacobi_records()
+    assert any(r.startswith(b"JacobiNonConvergence") for r in records)
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == JACOBI_DIGEST
 
 
 def stack_sweep(m):
