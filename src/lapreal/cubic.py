@@ -213,16 +213,16 @@ def laplacian_cubic_roots(coeffs: CubicCoeffs) -> tuple[float, float, float]:
     return _roots(coeffs.p2, coeffs.p1, coeffs.p0)
 
 
-def solve_cubic_real_batch(p2, p1, p0, strict: bool = True) -> np.ndarray:
+def solve_cubic_real_batch(p2, p1, p0) -> np.ndarray:
     """Vectorized three-real-root solver; returns a (batch, 3) ascending array.
 
     The algorithm of :func:`_roots` on every row: both forms of the outlier
     root are computed and ``np.where`` keeps the row's own, and a row with
     one real root gets the double root sigma/2, the real part of its pair.
-    Raises ``ValueError`` naming the first NaN or infinite coefficient.
-    With ``strict`` set, raises :class:`NoThreeRealRoots` if any row has a
-    discriminant below the roundoff band.  Intended for Laplacian cubics,
-    whose roots are always real.
+    Raises ``ValueError`` naming the first NaN or infinite coefficient, and
+    :class:`NoThreeRealRoots` if any row has a discriminant below the
+    roundoff band.  Intended for Laplacian cubics, whose roots are always
+    real.
     """
     p2 = np.asarray(p2, dtype=float)
     p1 = np.asarray(p1, dtype=float)
@@ -231,16 +231,15 @@ def solve_cubic_real_batch(p2, p1, p0, strict: bool = True) -> np.ndarray:
         if not np.isfinite(p).all():
             idx = int(np.argmin(np.isfinite(p)))
             raise ValueError(f"row {idx}: non-finite coefficient {name} = {p[idx]}")
-    if strict:
-        disc = cubic_discriminant(p2, p1, p0)
-        scale = np.maximum(1.0, np.maximum(np.abs(p2), np.maximum(np.abs(p1), np.abs(p0))))
-        bad = disc < -DISC_TOL * (scale * scale * scale)
-        if np.any(bad):
-            idx = int(np.argmax(bad))
-            raise NoThreeRealRoots(
-                f"row {idx}: discriminant {disc[idx]} < 0 for "
-                f"({p2[idx]}, {p1[idx]}, {p0[idx]})"
-            )
+    disc = cubic_discriminant(p2, p1, p0)
+    scale = np.maximum(1.0, np.maximum(np.abs(p2), np.maximum(np.abs(p1), np.abs(p0))))
+    bad = disc < -DISC_TOL * (scale * scale * scale)
+    if np.any(bad):
+        idx = int(np.argmax(bad))
+        raise NoThreeRealRoots(
+            f"row {idx}: discriminant {disc[idx]} < 0 for "
+            f"({p2[idx]}, {p1[idx]}, {p0[idx]})"
+        )
     p, q, h, shift = _depressed(p2, p1, p0)
     real3 = h <= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):

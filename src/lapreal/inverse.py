@@ -186,7 +186,7 @@ def _path_weights(triple) -> tuple[float, ...]:
     small, mid, big = sorted(triple)
     s = big - f
     t = mid - small  # nonnegative spread of the remaining pair
-    band = CLAMP_TOL * max(1.0, f)
+    band = CLAMP_TOL * f
     if small <= band:
         # target is (f+s, 0, f-s) up to roundoff
         d = (f * f - s * s) / 4.0

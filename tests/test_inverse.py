@@ -246,6 +246,19 @@ class TestInvertPath:
             assert min(sol.weights) >= 0.0
             assert roundtrip_residual(sol, target) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "target",
+        [tuple(math.ldexp(v, k) for v in (0.805, 0.00294, 0.192)) for k in (0, -20, -28, -40, -50)]
+        + [(7.4972e-10, 2.7361e-12, 1.7887e-10)],
+    )
+    def test_small_entry_kept_at_small_sums(self, target):
+        # the degenerate band was CLAMP_TOL * max(1, f), absolute below f = 1, so
+        # once the smallest entry fell under 1e-9 it was taken as 0 and the
+        # middle weight dropped: residual/sum 2.9e-3 at 2**-28 and below
+        sol = invert_path(target)
+        assert sol.weights[1] > 0.0
+        assert sol.residual <= 1e-8 * sum(target)
+
 
 class TestInvertKite:
     def test_golden_instance(self):

@@ -36,20 +36,31 @@ class TestRoundRobin:
         assert len(steps) == n - 1 + n % 2
         seen = []
         for step in steps:
-            # each pair's entries pp, qq, pq and qp
+            # each pair's entries pp, qq and pq
             p, q = step.diag[:2] // (n + 1)
-            np.testing.assert_array_equal(step.diag, [p * (n + 1), q * (n + 1), p * n + q, q * n + p])
+            np.testing.assert_array_equal(step.diag, [p * (n + 1), q * (n + 1), p * n + q])
             assert p.size == n // 2
             assert (p < q).all()
             odd = sorted(set(range(n)) - {*p.tolist(), *q.tolist()})
             assert len(odd) == n % 2  # disjoint, one left over at odd n
             seen += zip(p.tolist(), q.tolist())
-            # the pairs' 2x2 diagonal blocks, the off-diagonal blocks, the odd
-            # index's segments and their mirrors cover every entry once
-            covered = np.concatenate(
-                (step.diag.ravel(), step.seg.ravel(), step.mirror.ravel(), [u * (n + 1) for u in odd])
-            )
-            np.testing.assert_array_equal(np.sort(covered), np.arange(n * n))
+            # each segment joins row r to the columns p_j, q_j of its pair j, at the
+            # upper-triangle index of (r, c); a block's rows r are p_i, q_i of its pair i
+            lo, hi = divmod(step.seg, n)
+            assert (lo < hi).all()
+            col = np.stack((p[step.cols], q[step.cols]), axis=1)
+            row = np.where(lo == col, hi, lo)
+            assert ((lo == col) | (hi == col)).all()
+            blocks = step.rows.size
+            np.testing.assert_array_equal(step.rows[::2], step.rows[1::2])
+            ends = np.stack((p, q), axis=1)[step.rows, np.arange(blocks) % 2]
+            assert (row[:blocks] == ends[:, None]).all()
+            assert set(row[blocks:].ravel().tolist()) <= set(odd)
+            # the pairs' pp, qq and pq, the blocks, the odd index's segments and
+            # its diagonal cover the upper triangle once
+            covered = np.concatenate((step.diag.ravel(), step.seg.ravel(), [u * (n + 1) for u in odd]))
+            i, j = np.triu_indices(n)
+            np.testing.assert_array_equal(np.sort(covered), i * n + j)
         assert sorted(seen) == list(itertools.combinations(range(n), 2))
 
     def test_schedule_built_once_and_read_only(self):
