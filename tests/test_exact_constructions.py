@@ -27,8 +27,8 @@ BOUND = 8 * EPS
 DRAWS = 900
 
 
-def targets(kind):
-    """Seeded realizable targets over scales 1e-3..1e3; a third are ties (a, a, b) and permutations."""
+def draws(kind):
+    """Seeded targets over scales 1e-3..1e3; a third are ties (a, a, b) and permutations."""
     rng = np.random.default_rng([2718, FOUR_VERTEX_KINDS.index(kind)])
     u = np.sort(rng.random((DRAWS, 2)), axis=1)
     rows = np.stack([u[:, 0], u[:, 1] - u[:, 0], 1.0 - u[:, 1]], axis=1)
@@ -38,7 +38,12 @@ def targets(kind):
     for k in range(ties):
         rows[k] = np.roll(rows[k], rng.integers(0, 3))
     rows *= 10.0 ** rng.uniform(-3.0, 3.0, DRAWS)[:, None]
-    return [t for t in map(tuple, rows.tolist()) if CHECKS[kind](t).realizable]
+    return list(map(tuple, rows.tolist()))
+
+
+def targets(kind):
+    """The realizable ``draws(kind)``."""
+    return [t for t in draws(kind) if CHECKS[kind](t).realizable]
 
 
 def backward_errors(kind, target):
@@ -69,3 +74,43 @@ def test_cycle_first_choice_holds_exactly():
         factor = 8 / (x + y + z)
         t, _, big = sorted((x * factor, y * factor, z * factor))
         assert 2 * t + (big - 4) <= 4
+
+
+def path_largest_root_admissible(target):
+    """Whether the largest root of the path's middle-weight cubic lies in its window, exactly.
+
+    With f the half sum and e2, e3 the target's pair sum and product, the
+    middle weight a is a root of g(a) = a^3 - f a^2 + (e2/3) a - e3/3 and is
+    admissible when h(a) = 2a^2 - fa + e2 - f^2 <= 0.  The values of h at the
+    roots of g are the eigenvalues of h(C), C the companion matrix of g, so
+    the coefficients of h(C)'s characteristic polynomial decide their signs.
+    """
+    x, y, z = map(Fraction, target)
+    f, e2, e3 = (x + y + z) / 2, x * y + x * z + y * z, x * y * z
+    b, c, d = -f, e2 / 3, -e3 / 3
+    comp = [[0, 0, -d], [1, 0, -c], [0, 1, -b]]
+    sq = [[sum(comp[i][k] * comp[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    m = [[2 * sq[i][j] - f * comp[i][j] + (e2 - f * f) * (i == j) for j in range(3)] for i in range(3)]
+    trace = m[0][0] + m[1][1] + m[2][2]
+    minors = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
+    det = (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+    disc = 18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
+    if disc >= 0:
+        # three real roots: h <= 0 at every one of them, the largest included
+        assert trace <= 0 <= minors and det <= 0
+        return True
+    # one real root r and a complex pair c, c*: det = h(r) |h(c)|^2 has h(r)'s sign
+    return det <= 0
+
+
+def test_path_largest_root_decides():
+    # _path_weights takes the largest root; it is admissible exactly when the
+    # target is realizable, ties (a, a, b) included (each of them is rejected)
+    rows = [t for t in draws("path") if min(t) > 0.0]
+    realizable = [CHECKS["path"](t).realizable for t in rows]
+    assert sum(realizable) > 100 and sum(len(set(t)) < 3 for t in rows) > 100
+    assert [path_largest_root_admissible(t) for t in rows] == realizable

@@ -3,15 +3,27 @@
 import numpy as np
 import pytest
 
-from lapreal.graphs import CYCLE4, FOUR_VERTEX_KINDS, KITE, PATH4, STAR, Topology, complete
+from lapreal.graphs import (
+    CYCLE4,
+    FOUR_VERTEX_KINDS,
+    KITE,
+    PATH4,
+    STAR,
+    Topology,
+    build_laplacians,
+    complete,
+)
+from lapreal.inverse import INVERTERS, InternalInfeasible, NotRealizable
 from lapreal.oracle import (
     SamplerConfig,
+    _rng,
     estimate_region_fraction,
     negative_grid_search,
     roundtrip_suite,
     sample_forward,
     sample_simplex,
 )
+from lapreal.realizability import MASKS
 
 FOUR = list(map(Topology, FOUR_VERTEX_KINDS))
 
@@ -111,3 +123,65 @@ class TestRoundtripSuite:
     def test_complete_roundtrip(self):
         report = roundtrip_suite(complete(6), SamplerConfig(seed=11, samples=200))
         assert report.max_residual <= 1e-7
+
+
+def recording(kind, calls, fail=lambda i: None):
+    """``INVERTERS[kind]`` that appends (target, solution) to ``calls``, None while the call runs.
+
+    ``fail(i)`` runs first at the i-th call and may raise in place of the inverse.
+    """
+    invert = INVERTERS[kind]
+
+    def record(target):
+        calls.append((tuple(target), None))
+        fail(len(calls))
+        sol = invert(target)
+        calls[-1] = (tuple(target), sol)
+        return sol
+
+    return record
+
+
+class TestRoundtripSampling:
+    @pytest.mark.parametrize("samples", [1, 7, 200, 1000, 2500])
+    @pytest.mark.parametrize("topo", FOUR)
+    def test_targets_are_the_first_passing_points(self, topo, samples, monkeypatch):
+        # at any block size the suite inverts the first `samples` points of its
+        # stream that pass the exact mask, once each and in stream order
+        cfg = SamplerConfig(seed=5, samples=samples)
+        calls = []
+        monkeypatch.setitem(INVERTERS, topo.kind, recording(topo.kind, calls))
+        report = roundtrip_suite(topo, cfg)
+        x, y, z = sample_simplex(_rng(cfg, topo, "roundtrip"), 40_000)
+        keep = np.flatnonzero(MASKS[topo.kind](x, y, z, tol=0.0))
+        assert keep.size >= samples
+        want = list(zip(x[keep].tolist(), y[keep].tolist(), z[keep].tolist()))[:samples]
+        assert [target for target, _ in calls] == want
+        assert report.inverted == samples
+
+    @pytest.mark.parametrize("topo", FOUR)
+    def test_failed_targets_leave_the_verification(self, topo, monkeypatch):
+        # every 7th target is rejected and every 11th other one infeasible;
+        # the residual covers the inverted targets only
+        def fail(i):
+            if i % 7 == 0:
+                raise NotRealizable(None)
+            if i % 11 == 0:
+                raise InternalInfeasible("injected")
+
+        calls, samples = [], 300
+        monkeypatch.setitem(INVERTERS, topo.kind, recording(topo.kind, calls, fail))
+        report = roundtrip_suite(topo, SamplerConfig(seed=3, samples=samples))
+        rejected = samples // 7
+        infeasible = samples // 11 - samples // 77
+        kept = [(target, sol) for target, sol in calls if sol]
+        assert len(calls) == samples
+        assert report.not_realizable_count == rejected
+        assert report.infeasible_count == infeasible
+        assert report.inverted == len(kept) == samples - rejected - infeasible
+        weights = np.array([sol.weights for _, sol in kept])
+        spectra = np.linalg.eigvalsh(build_laplacians(topo, weights))
+        want = np.sort(np.array([target for target, _ in kept]), axis=1)
+        direct = max(np.abs(spectra[:, 1:] - want).max(), np.abs(spectra[:, 0]).max())
+        assert report.max_residual == pytest.approx(direct, abs=1e-13)
+        assert report.max_residual <= 1e-8
