@@ -112,8 +112,9 @@ def _inverter(topology: Topology, construct):
     kind, lo, hi = topology.kind, UNIT_LOW, UNIT_HIGH
 
     def invert(target) -> InverseSolution:
-        triple = scaled = _validate_triple(target)
-        total, e = sum(triple), 0
+        x, y, z = triple = scaled = _validate_triple(target)
+        # the check's total: sum() of floats is compensated on Python >= 3.12
+        total, e = x + y + z, 0
         if not lo <= total <= hi:
             scaled, e = unit_scaled(triple)
         if not MASKS[kind](*scaled):  # looked up per call, so a replaced entry decides
@@ -177,9 +178,16 @@ def _cycle_weights(triple) -> tuple[float, ...]:
 def _path_weights(triple) -> tuple[float, ...]:
     """Path construction with eigenvalue sum 2f.
 
-    The middle weight a solves a cubic and must fall in an explicit window;
-    the outer weights come from u^2 - (f-a)*u + d.  The degenerate case
-    with a zero entry uses a = 0 directly.
+    With e2, e3 the target's pair sum and product, the middle weight a is a
+    root of a^3 - f*a^2 + (e2/3)*a - e3/3 and the outer weights are the roots
+    of u^2 - (f-a)*u + d, d = e3/(4a).  They are real when a lies in the
+    window (4a - f)^2 <= 9f^2 - 8*e2, that is h(a) = 2a^2 - f*a + e2 - f^2 <= 0.
+    When the target is realizable, the largest root lies in it: at a root a
+    the other two roots r, r' have r + r' = f - a and r*r' = e2/3 - a(f - a),
+    so h(a) = -(r^2 - r*r' + r'^2).  With three real roots that is <= 0 at
+    each of them (and each lies in (0, f), as they are positive and sum to f);
+    with one real root it is the only candidate.  The degenerate case with a
+    zero entry uses a = 0 directly.
     """
     x, y, z = triple
     f = (x + y + z) / 2.0
@@ -201,12 +209,8 @@ def _path_weights(triple) -> tuple[float, ...]:
     half = 0.25 * math.sqrt(max(window, 0.0))
     lo = f / 4.0 - half
     hi = min(f / 4.0 + half, f)
-    # the roots come ascending, so the last admissible one is the largest
-    a = None
-    for r in roots:
-        if lo - band <= r <= hi + band and r > band:
-            a = r
-    if a is None:
+    a = roots[-1]  # the roots come ascending
+    if not (lo - band <= a <= hi + band and a > band):
         raise InternalInfeasible(
             f"no cubic root in admissible window [{lo}, {hi}] (roots {roots})"
         )

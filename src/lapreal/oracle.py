@@ -12,6 +12,7 @@ All randomness comes from numpy's PCG64 generator with fixed streams per
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -171,35 +172,39 @@ def _roundtrip_four_vertex(topology: Topology, cfg: SamplerConfig) -> RoundtripR
     # the region (unreachable at 1e-8) near the criteria's cusps
     mask = MASKS[topology.kind]
     invert = INVERTERS[topology.kind]
-    block = max(cfg.samples, 10_000)
-    triples = []
-    for _ in range(500):
-        x, y, z = sample_simplex(rng, block)
-        keep = np.flatnonzero(mask(x, y, z, tol=0.0))[: cfg.samples - len(triples)]
-        # Python floats, so the scalar inverters make no numpy scalars
-        triples.extend(zip(x[keep].tolist(), y[keep].tolist(), z[keep].tolist()))
-        if len(triples) >= cfg.samples:
-            break
+    samples = cfg.samples
+    # blocks of any size draw the same points in the same order; give up
+    # after 500 * max(samples, 10_000) points
+    block, left = max(samples, 1_000), 500 * max(samples, 10_000)
+    blocks, found = [], 0
+    while found < samples and left:
+        x, y, z = sample_simplex(rng, min(block, left))
+        left -= x.size
+        keep = np.flatnonzero(mask(x, y, z, tol=0.0))[: samples - found]
+        blocks.append(np.stack((x[keep], y[keep], z[keep]), axis=1))
+        found += keep.size
+    targets = np.concatenate(blocks)
     infeasible = 0
     rejected = 0
     weights = []
-    kept_targets = []
-    for triple in triples:
+    dropped = []
+    # Python floats, so the scalar inverters make no numpy scalars
+    for i, triple in enumerate(targets.tolist()):
         try:
-            sol = invert(triple)
+            weights.append(invert(triple).weights)
         except InternalInfeasible:
             infeasible += 1
-            continue
+            dropped.append(i)
         except NotRealizable:
             rejected += 1
-            continue
-        weights.append(sol.weights)
-        kept_targets.append(triple)
+            dropped.append(i)
     kept = len(weights)
     max_residual = 0.0
     if kept:
-        spectra = jacobi_spectra(build_laplacians(topology, np.array(weights)))
-        want = np.sort(np.asarray(kept_targets), axis=1)
+        edges = topology.edge_count
+        flat = np.fromiter(itertools.chain.from_iterable(weights), float, kept * edges)
+        spectra = jacobi_spectra(build_laplacians(topology, flat.reshape(kept, edges)))
+        want = np.sort(np.delete(targets, dropped, axis=0), axis=1)
         res = np.abs(spectra[:, 1:] - want).max(axis=1)
         max_residual = float(max(res.max(), np.abs(spectra[:, 0]).max()))
     return RoundtripReport(
@@ -223,10 +228,13 @@ def _roundtrip_complete(topology: Topology, cfg: SamplerConfig) -> RoundtripRepo
 def roundtrip_suite(topology: Topology, cfg: SamplerConfig) -> RoundtripReport:
     """Invert predicate-passing targets and verify them with the eigensolver.
 
-    For four-vertex topologies, simplex triples are drawn until
-    ``cfg.samples`` of them pass the predicate; each is inverted and the
-    resulting weights are verified through the Jacobi route.  For complete
-    graphs, random tuples in [0, w_max] are realized directly.
+    For four-vertex topologies, simplex triples are drawn in blocks of
+    max(samples, 1000) from one ordered stream until ``cfg.samples`` of them
+    pass the predicate.  The stream gives the same points at any block size,
+    so the targets are the first passing points of one long draw.  Each is
+    inverted and the resulting weights are verified through the Jacobi
+    route.  For complete graphs, random tuples in [0, w_max] are realized
+    directly.
     """
     if topology.kind == COMPLETE_KIND:
         return _roundtrip_complete(topology, cfg)
