@@ -174,7 +174,7 @@ class TestRoundtripSampling:
         report = roundtrip_suite(topo, SamplerConfig(seed=3, samples=samples))
         rejected = samples // 7
         infeasible = samples // 11 - samples // 77
-        kept = [(target, sol) for target, sol in calls if sol]
+        kept = [(target, sol) for target, sol in calls if sol is not None]
         assert len(calls) == samples
         assert report.not_realizable_count == rejected
         assert report.infeasible_count == infeasible
