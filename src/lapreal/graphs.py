@@ -114,7 +114,12 @@ def build_laplacian(topology: Topology, weights) -> np.ndarray:
 
 
 def build_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`build_laplacian` for a (batch, edge_count) array."""
+    """Vectorized :func:`build_laplacian` for a (batch, edge_count) array.
+
+    The stack is built as an ``(n, n, batch)`` array, so each entry is a
+    contiguous batch vector, and returned as its ``(batch, n, n)`` transposed
+    view, which ``jacobi_spectra`` takes back to that layout with a plain copy.
+    """
     w = np.asarray(weight_rows, dtype=float)
     if w.ndim != 2 or w.shape[1] != topology.edge_count:
         raise ValueError(f"expected shape (batch, {topology.edge_count}), got {w.shape}")
@@ -124,19 +129,19 @@ def build_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarray:
     if np.any(w < 0):
         raise ValueError("negative edge weight")
     n = topology.order
-    lap = np.zeros((w.shape[0], n, n))
+    lap = np.zeros((n, n, w.shape[0]))
     with np.errstate(over="ignore"):
         for k, (i, j) in enumerate(topology.edges):
             wk = w[:, k]
-            lap[:, i, i] += wk
-            lap[:, j, j] += wk
-            lap[:, i, j] -= wk
-            lap[:, j, i] -= wk
-    overflow = np.isinf(lap.diagonal(axis1=1, axis2=2))
+            lap[i, i] += wk
+            lap[j, j] += wk
+            lap[i, j] -= wk
+            lap[j, i] -= wk
+    overflow = np.isinf(lap.diagonal(axis1=0, axis2=1))  # (batch, n)
     if overflow.any():
         k, v = np.argwhere(overflow)[0]
         raise ValueError(f"degree of vertex {v} in row {k} overflows the float range")
-    return lap
+    return lap.transpose(2, 0, 1)
 
 
 def scale_weights(weights, factor: float) -> np.ndarray:

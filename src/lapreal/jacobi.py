@@ -11,11 +11,14 @@ each pair's columns.  A block entry (r, c) is read and written at its
 upper-triangle index, the same value by symmetry, so the sweep reads and
 writes the upper triangle only, each entry once per step.
 
-A stack is held as one ``(n, n, batch)`` array, so each entry is a contiguous
-batch vector and a step is ~40 numpy calls whatever the batch, each product
-of a rotation between arrays of one shape, updated in place.  A matrix leaves
-the stack at the first convergence test it passes, so every matrix of a stack
-gets the bits it gets in a stack of its own.
+A stack is held as one ``(n(n+1)/2, batch)`` array of its upper triangle, so
+each entry is a contiguous batch vector, with its rows in the current step's
+order (``_Schedule``): the diagonal, the pairs' pq, the blocks, the odd
+index's entries.  A step is then ~40 numpy calls whatever the batch, on
+slices and reshaped views updated in place, each pair's cosine and sine
+broadcast over its blocks, and one gather that puts the rows in the next
+step's order.  A matrix leaves the stack at the first convergence test it
+passes, so every matrix of a stack gets the bits it gets in a stack of its own.
 
 One matrix goes to LAPACK instead: ``spectrum_numeric`` scales it by the same
 rule and calls ``np.linalg.eigvalsh`` on its upper triangle.  ``forward_spectrum``
@@ -43,35 +46,59 @@ class JacobiNonConvergence(RuntimeError):
     """The sweep limit was hit before the off-diagonal mass vanished."""
 
 
-class _Step(NamedTuple):
-    """One step of a sweep: the flat upper-triangle indices min * n + max it reads for its pairs p < q."""
+class _Schedule(NamedTuple):
+    """One sweep at order n: each step's order of the upper triangle's keys min * n + max.
 
-    diag: np.ndarray  # (3, pairs): pp, qq and pq
-    rows: np.ndarray  # (2 * blocks,): the pair i of each block, i < j, once per column
-    cols: np.ndarray  # (segments,): the pair j of each segment
-    seg: np.ndarray  # (segments, 2): row r at cols p_j, q_j; a block's two rows, then odd's
+    A step's layout lists each pair's pp, then each pair's qq, then the odd
+    index's oo, so its first n rows are the diagonal; then each pair's pq; then,
+    for each block i < j, (p_i p_j), (p_i q_j), (q_i p_j), (q_i q_j); then, for
+    each pair j, (o p_j), (o q_j).
+    """
+
+    layouts: np.ndarray  # (steps, n(n+1)/2): each row's key, in the step's order
+    perms: np.ndarray  # (steps, n(n+1)/2): layouts[k][perms[k]] is the next layout, the last's the first
+    rows: slice | np.ndarray  # the pair i of each block i < j
+    cols: slice | np.ndarray  # the pair j of each block
+    vertex: np.ndarray  # (n,): the first layout's diagonal rows, in vertex order
+    upper: np.ndarray  # the strict upper triangle's flat indices, and its mirror for the norm
+    lower: np.ndarray
+
+
+def _run(a: np.ndarray) -> slice | np.ndarray:
+    """Indices ``a`` as a basic slice when they are one contiguous run, so a read by them is a view."""
+    lo = int(a[0]) if a.size else 0
+    return slice(lo, lo + a.size) if np.array_equal(a, np.arange(lo, lo + a.size)) else a
 
 
 @functools.cache
-def _round_robin(n: int) -> tuple[tuple[_Step, ...], np.ndarray, np.ndarray]:
-    """Shared read-only schedule: a sweep's steps, the strict upper triangle, its mirror for the norm."""
+def _round_robin(n: int) -> _Schedule:
+    """Shared read-only schedule of one sweep at order n."""
     m = n + n % 2  # for odd n, a dummy index n pads the ring and its pair is dropped
     ring = np.arange(m)
-    steps = []
+    rows, cols = np.triu_indices(n // 2, 1)
+    layouts = []
     for _ in range(m - 1):
         p, q = np.sort([ring[: m // 2], ring[::-1][: m // 2]], axis=0)
         odd, p, q = p[q == n], p[q < n], q[q < n]
-        i, j = np.triu_indices(p.size, 1)
-        r = np.concatenate((np.stack((p[i], q[i]), axis=1).ravel(), np.repeat(odd, p.size)))[:, None]
-        cols = np.concatenate((np.repeat(j, 2), np.tile(np.arange(p.size), odd.size)))
-        pq = np.stack((p[cols], q[cols]), axis=1)
-        seg = np.minimum(r, pq) * n + np.maximum(r, pq)  # (r, c) by symmetry
-        steps.append(_Step(np.stack((p * (n + 1), q * (n + 1), p * n + q)), np.repeat(i, 2), cols, seg))
+        pairs = np.stack((p, q), axis=1)
+        r, c = pairs[rows][:, :, None], pairs[cols][:, None, :]  # a block's rows and columns
+        o = odd[:, None, None]
+        layouts.append(np.concatenate((
+            p * (n + 1), q * (n + 1), odd * (n + 1), p * n + q,
+            (np.minimum(r, c) * n + np.maximum(r, c)).ravel(),  # (r, c) by symmetry
+            (np.minimum(o, pairs) * n + np.maximum(o, pairs)).ravel(),
+        )))
         ring[1:] = np.roll(ring[1:], 1)
+    layouts = np.array(layouts)
+    where = np.empty((len(layouts), n * n), dtype=np.intp)  # each key's row in each layout
+    np.put_along_axis(where, layouts, np.arange(layouts.shape[1]), axis=1)
+    perms = np.take_along_axis(where, np.roll(layouts, -1, axis=0), axis=1)
     i, j = np.triu_indices(n, 1)
-    for a in (upper := i * n + j, lower := j * n + i, *(a for step in steps for a in step)):
-        a.flags.writeable = False
-    return tuple(steps), upper, lower
+    schedule = _Schedule(layouts, perms, _run(rows), _run(cols), where[0, :: n + 1], i * n + j, j * n + i)
+    for a in schedule:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return schedule
 
 
 def jacobi_spectra(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
@@ -80,7 +107,7 @@ def jacobi_spectra(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError(f"expected (batch, n, n) stack, got shape {mats.shape}")
     batch, n = mats.shape[:2]
-    b = mats.transpose(1, 2, 0).copy()  # the working copy, C-contiguous
+    b = mats.transpose(1, 2, 0).copy()  # C-contiguous; a plain copy of a build_laplacians stack
     big = np.maximum(b.max(axis=(0, 1), initial=0.0), -b.min(axis=(0, 1), initial=0.0))
     if not np.isfinite(big).all():
         k, i, j = np.argwhere(~np.isfinite(mats))[0]
@@ -89,17 +116,19 @@ def jacobi_spectra(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray
     scaled = e.any()  # ldexp(x, 0) is x
     if scaled:
         np.ldexp(b, -e, out=b)
-    _, upper, lower = _round_robin(n)
+    schedule = _round_robin(n)
+    flat = b.reshape(n * n, batch)
     # the sweep reads the upper triangle only; numpy's norm reads both
-    b.reshape(n * n, batch)[lower] = b.reshape(n * n, batch)[upper]
+    flat[schedule.lower] = flat[schedule.upper]
     norms = np.linalg.norm(b, axis=(0, 1))
-    diagonal = _sweep_stack(b, norms, max_sweeps)
+    diagonal = _sweep_stack(flat[schedule.layouts[0]], n, norms, max_sweeps)
     if scaled:
         with np.errstate(over="ignore"):
-            diagonal = np.ldexp(diagonal, e[:, None])
+            np.ldexp(diagonal, e[:, None], out=diagonal)
         if not np.isfinite(diagonal).all():
             raise ValueError("an eigenvalue overflows the float range")
-    return np.sort(diagonal, axis=1)
+    diagonal.sort(axis=1)
+    return diagonal
 
 
 def _rotate(x: np.ndarray, y: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
@@ -111,44 +140,49 @@ def _rotate(x: np.ndarray, y: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
     y += sx
 
 
-def _sweep_stack(b: np.ndarray, norms: np.ndarray, max_sweeps: int) -> np.ndarray:
-    """Sweep the upper triangle of the ``(n, n, batch)`` array ``b`` in place; its ``(batch, n)`` diagonal.
+def _sweep_stack(u: np.ndarray, n: int, norms: np.ndarray, max_sweeps: int) -> np.ndarray:
+    """Sweep the ``(n(n+1)/2, batch)`` stack ``u``, rows in the first layout of ``_round_robin(n)``.
 
-    A step reads and writes the upper triangle only, each entry once, in ~40
-    numpy calls: one gather and one scatter of the pairs' pp, qq and pq and
-    ~20 calls for their angles, then one gather of the blocks and the odd
-    index's entries, a rotation of rows and one of columns, and one scatter.
-    A matrix retires at the first convergence test it passes, so it gets the bits
-    it gets alone: its diagonal is put aside then and written back at the end.  It
-    goes on rotating, unread, in its column; compacting the stack instead costs
-    fresh arrays whose page faults outweigh the rotations saved.
+    Returns the ``(batch, n)`` diagonals, C-contiguous, in vertex order.  A
+    step's pp, qq and pq are the slices ``u[:P]``, ``u[P:2P]`` and ``u[n:n+P]``
+    of its P pairs; their angles and the diagonal's turn are ~20 numpy calls
+    on them.  The blocks' rows, then their columns, and the odd index's
+    columns are rotated in place on reshaped views of the rows after them,
+    each pair's ``c``, ``s`` broadcast over its block.  Then one gather,
+    ``u[perm]``, puts the rows in the next step's order.
+
+    A matrix retires at the first convergence test it passes, so it gets the
+    bits it gets alone: its diagonal is put aside then and written back at the
+    end.  It goes on rotating, unread, in its column; compacting the stack
+    instead costs fresh arrays whose page faults outweigh the rotations saved.
     """
-    n, _, batch = b.shape
-    flat = b.reshape(n * n, batch)
-    steps, upper, _ = _round_robin(n)
+    schedule = _round_robin(n)
+    batch, pairs = u.shape[1], n // 2
+    blocks = pairs * (pairs - 1) // 2
+    pp, qq, pq = slice(0, pairs), slice(pairs, 2 * pairs), slice(n, n + pairs)
+    block, odd = slice(n + pairs, n + pairs + 4 * blocks), slice(n + pairs + 4 * blocks, None)
+    rows, cols = schedule.rows, schedule.cols
     limit = OFFDIAG_TOL * norms
     live, left = np.ones(batch, dtype=bool), batch  # the matrices not yet retired
     retired = []  # the matrices retired at each earlier test, and their diagonals
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(max_sweeps):
-            off = flat[upper]
-            going = np.abs(off, out=off).max(axis=0, initial=0.0) > limit
+            off = np.abs(u[n:])
+            going = off.max(axis=0, initial=0.0) > limit
             going &= live
             count = np.count_nonzero(going)
             if not count:
-                diagonal = flat[:: n + 1]
-                for cols, values in retired:
-                    diagonal[:, cols] = values
-                return diagonal.T
+                for done, values in retired:
+                    u[:n, done] = values
+                return u[schedule.vertex].T.copy()
             if count < left:
-                cols = np.flatnonzero(live ^ going)
-                retired.append((cols, flat[:: n + 1, cols]))
+                done = np.flatnonzero(live ^ going)
+                retired.append((done, u[:n, done]))
                 live, left = going, count
-            for step in steps:
+            for perm in schedule.perms:
                 # angles from the entries before the step: disjoint rotations commute
-                d = flat[step.diag]
-                theta = d[1] - d[0]
-                theta /= 2.0 * d[2]
+                theta = u[qq] - u[pp]
+                theta /= 2.0 * u[pq]
                 # t = copysign(1 / (|theta| + sqrt(theta**2 + 1)), theta), 0 where NaN
                 t = theta * theta
                 t += 1.0
@@ -161,20 +195,20 @@ def _sweep_stack(b: np.ndarray, norms: np.ndarray, max_sweeps: int) -> np.ndarra
                 c += 1.0
                 np.sqrt(c, out=c)
                 np.divide(1.0, c, out=c)
-                np.multiply(t, d[2], out=theta)  # the diagonal's turn
-                d[0] -= theta
-                d[1] += theta
-                d[2] = 0.0
-                flat[step.diag] = d
+                np.multiply(t, u[pq], out=theta)  # the diagonal's turn
+                u[pp] -= theta
+                u[qq] += theta
+                u[pq] = 0.0
                 s = np.multiply(t, c, out=t)
-                # p becomes c p - s q and q becomes s p + c q: each block's rows, then
-                # every segment's columns, written back to the upper triangle
-                g = flat[step.seg]
-                h = g[: step.rows.size].reshape(-1, 2, 2, batch)
-                shape = h[:, 0].shape
-                _rotate(h[:, 0], h[:, 1], c[step.rows].reshape(shape), s[step.rows].reshape(shape))
-                _rotate(g[:, 0], g[:, 1], c[step.cols], s[step.cols])
-                flat[step.seg] = g
+                # p becomes c p - s q and q becomes s p + c q: each block's rows by
+                # its pair i, then its columns by its pair j, then the odd index's
+                h = u[block].reshape(blocks, 2, 2, batch)
+                _rotate(h[:, 0], h[:, 1], c[rows, None], s[rows, None])
+                _rotate(h[:, :, 0], h[:, :, 1], c[cols, None], s[cols, None])
+                if n % 2:
+                    g = u[odd].reshape(pairs, 2, batch)
+                    _rotate(g[:, 0], g[:, 1], c, s)
+                u = u[perm]
     raise JacobiNonConvergence(f"no convergence after {max_sweeps} sweeps")
 
 

@@ -120,11 +120,16 @@ class TestBuildLaplacian:
 
     @pytest.mark.parametrize(
         "rows, row, vertex",
-        [([[1e308] * 3], 0, 0), ([[1.0] * 3, [1.0, 1e308, 1e308]], 1, 2)],
+        [
+            ([[1e308] * 3], 0, 0),
+            ([[1.0] * 3, [1.0, 1e308, 1e308]], 1, 2),
+            ([[1.0] * 3, [1.0, 1e308, 1e308], [1e308, 1e308, 1.0]], 1, 2),
+        ],
     )
     def test_batch_degree_overflow_names_row_and_vertex(self, rows, row, vertex):
         # the degree 2e308 came out as inf with two RuntimeWarnings, named later
-        # as "non-finite entry inf in matrix 0 at [0, 0]", an entry that is no weight
+        # as "non-finite entry inf in matrix 0 at [0, 0]", an entry that is no weight;
+        # the first row is named, then its first vertex, whatever the stack's layout
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(
@@ -146,15 +151,18 @@ class TestLaplacianRows:
     The class is named for ``laplacian_rows``, the rows builder folded into it.
     """
 
-    @pytest.mark.parametrize("topo", ALL_FOUR + [complete(2), complete(7)])
+    @pytest.mark.parametrize("topo", ALL_FOUR + [complete(n) for n in range(2, 9)])
     def test_rows_of_floats_with_the_batch_bits(self, topo):
         rng = np.random.default_rng(13)
-        for _ in range(20):
-            w = rng.uniform(0.0, 4.0, topo.edge_count)
-            w[rng.random(topo.edge_count) < 0.3] = 0.0
-            lap = build_laplacian(topo, w)
+        w = rng.uniform(0.0, 4.0, (20, topo.edge_count))
+        w[rng.random(w.shape) < 0.3] = 0.0
+        w[0] = 0.0
+        # each row of one stack, and a stack of one
+        for row, stacked in zip(w, build_laplacians(topo, w)):
+            lap = build_laplacian(topo, row)
             assert lap.dtype == float and lap.shape == (topo.order, topo.order)
-            assert lap.tobytes() == build_laplacians(topo, w[None])[0].tobytes()
+            assert lap.tobytes() == stacked.tobytes()
+            assert lap.tobytes() == build_laplacians(topo, row[None])[0].tobytes()
 
     def test_validates_like_build_laplacian(self):
         for bad in ([1.0, 1.0], [1.0, -1.0, 1.0], [1.0, math.nan, 1.0]):

@@ -28,47 +28,80 @@ def symmetric_stack(rng, batch, n):
     return a + a.transpose(0, 2, 1)
 
 
+ROBIN_ORDERS = range(1, 18)
+
+
+def upper_keys(n):
+    i, j = np.triu_indices(n)
+    return i * n + j
+
+
 class TestRoundRobin:
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", ROBIN_ORDERS)
     def test_every_pair_once_per_sweep(self, n):
-        steps = _round_robin(n)[0]
+        schedule = _round_robin(n)
         # n - 1 steps of n/2 pairs, or n steps of (n - 1)/2 pairs for odd n
-        assert len(steps) == n - 1 + n % 2
+        assert len(schedule.layouts) == len(schedule.perms) == n - 1 + n % 2
+        pairs = n // 2
+        i, j = np.triu_indices(pairs, 1)
+        np.testing.assert_array_equal(np.arange(pairs)[schedule.rows], i)
+        np.testing.assert_array_equal(np.arange(pairs)[schedule.cols], j)
         seen = []
-        for step in steps:
-            # each pair's entries pp, qq and pq
-            p, q = step.diag[:2] // (n + 1)
-            np.testing.assert_array_equal(step.diag, [p * (n + 1), q * (n + 1), p * n + q])
-            assert p.size == n // 2
+        for layout in schedule.layouts:
+            # each pair's pp, then each pair's qq, then each pair's pq
+            p, q = layout[:pairs] // (n + 1), layout[pairs : 2 * pairs] // (n + 1)
+            np.testing.assert_array_equal(layout[n : n + pairs], p * n + q)
             assert (p < q).all()
             odd = sorted(set(range(n)) - {*p.tolist(), *q.tolist()})
             assert len(odd) == n % 2  # disjoint, one left over at odd n
+            np.testing.assert_array_equal(layout[2 * pairs : n], [o * (n + 1) for o in odd])
             seen += zip(p.tolist(), q.tolist())
-            # each segment joins row r to the columns p_j, q_j of its pair j, at the
-            # upper-triangle index of (r, c); a block's rows r are p_i, q_i of its pair i
-            lo, hi = divmod(step.seg, n)
-            assert (lo < hi).all()
-            col = np.stack((p[step.cols], q[step.cols]), axis=1)
-            row = np.where(lo == col, hi, lo)
-            assert ((lo == col) | (hi == col)).all()
-            blocks = step.rows.size
-            np.testing.assert_array_equal(step.rows[::2], step.rows[1::2])
-            ends = np.stack((p, q), axis=1)[step.rows, np.arange(blocks) % 2]
-            assert (row[:blocks] == ends[:, None]).all()
-            assert set(row[blocks:].ravel().tolist()) <= set(odd)
-            # the pairs' pp, qq and pq, the blocks, the odd index's segments and
-            # its diagonal cover the upper triangle once
-            covered = np.concatenate((step.diag.ravel(), step.seg.ravel(), [u * (n + 1) for u in odd]))
-            i, j = np.triu_indices(n)
-            np.testing.assert_array_equal(np.sort(covered), i * n + j)
+            # each block i < j holds (p_i p_j), (p_i q_j), (q_i p_j), (q_i q_j), then
+            # each pair j has (o p_j), (o q_j), every entry at its upper-triangle key
+            ends = np.stack((p, q), axis=1)
+            r, c = ends[i][:, :, None], ends[j][:, None, :]
+            block = np.minimum(r, c) * n + np.maximum(r, c)
+            end = n + pairs + block.size
+            np.testing.assert_array_equal(layout[n + pairs : end], block.ravel())
+            segments = [min(o, e) * n + max(o, e) for o in odd for e in ends.ravel().tolist()]
+            np.testing.assert_array_equal(layout[end:], np.array(segments, dtype=layout.dtype))
         assert sorted(seen) == list(itertools.combinations(range(n), 2))
 
+    @pytest.mark.parametrize("n", ROBIN_ORDERS)
+    def test_each_layout_lists_every_key_once(self, n):
+        for layout in _round_robin(n).layouts:
+            np.testing.assert_array_equal(np.sort(layout), upper_keys(n))
+
+    @pytest.mark.parametrize("n", ROBIN_ORDERS)
+    def test_first_n_slots_are_the_diagonal(self, n):
+        schedule = _round_robin(n)
+        for layout in schedule.layouts:
+            np.testing.assert_array_equal(np.sort(layout[:n]), np.arange(n) * (n + 1))
+        # the sweep hands back the diagonal in vertex order
+        np.testing.assert_array_equal(schedule.layouts[0][schedule.vertex], np.arange(n) * (n + 1))
+
+    @pytest.mark.parametrize("n", ROBIN_ORDERS)
+    def test_each_perm_leads_to_the_next_layout(self, n):
+        layouts, perms = _round_robin(n)[:2]
+        for k, perm in enumerate(perms):
+            # u[perm] moves the rows of step k into the order of step k + 1, the
+            # last step's back into the first's, which every convergence test reads
+            np.testing.assert_array_equal(layouts[k][perm], layouts[(k + 1) % len(layouts)])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_block_pairs_are_a_slice_when_contiguous(self, n):
+        # one block at n = 4 and 5, none below: a read by them is a view
+        schedule = _round_robin(n)
+        assert isinstance(schedule.rows, slice) == isinstance(schedule.cols, slice) == (n < 6)
+
     def test_schedule_built_once_and_read_only(self):
-        steps, upper, lower = schedule = _round_robin(6)
+        schedule = _round_robin(6)
         assert _round_robin(6) is schedule
-        for arr in (upper, lower, *steps[0]):
+        arrays = [a for a in schedule if isinstance(a, np.ndarray)]
+        assert len(arrays) == 7  # layouts, perms, rows, cols, vertex, upper, lower
+        for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0
+                arr.flat[0] = 0
 
 
 class TestSpectrumNumeric:
@@ -207,6 +240,30 @@ class TestJacobiSpectra:
         mats = np.zeros((20, 5, 5))
         mats[:, np.arange(5), np.arange(5)] = diag
         np.testing.assert_array_equal(jacobi_spectra(mats), np.sort(diag, axis=1))
+
+    @pytest.mark.parametrize("topo", [Topology(kind) for kind in FOUR_VERTEX_KINDS] + [complete(6)])
+    def test_any_strides_same_bits(self, topo):
+        # build_laplacians returns the transposed view of an (n, n, batch) array
+        rng = np.random.default_rng([127, topo.edge_count])
+        w = rng.uniform(0.0, 4.0, (60, topo.edge_count))
+        w[rng.random(w.shape) < 0.2] = 0.0
+        mats = build_laplacians(topo, w)
+        assert not mats.flags.c_contiguous
+        want = jacobi_spectra(np.ascontiguousarray(mats)).tobytes()
+        assert jacobi_spectra(mats).tobytes() == jacobi_spectra(np.asfortranarray(mats)).tobytes() == want
+        for view in (mats[::3], mats[1::2]):
+            assert jacobi_spectra(view).tobytes() == jacobi_spectra(view.copy()).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_signed_zeros_sorted_from_vertex_order(self, n):
+        # the sweep's rows are in step order, not vertex order, and numpy's sort
+        # places 0.0 and -0.0 by their input order: the diagonal goes back to
+        # vertex order first, so a diagonal matrix gives np.sort of its diagonal
+        rng = np.random.default_rng([137, n])
+        diag = rng.choice([0.0, -0.0, 1.0, -1.0], (200, n))
+        mats = np.zeros((200, n, n))
+        mats[:, np.arange(n), np.arange(n)] = diag
+        assert jacobi_spectra(mats).tobytes() == np.sort(diag, axis=1).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 28])
     def test_reads_only_the_upper_triangle(self, n):
