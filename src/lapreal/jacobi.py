@@ -143,13 +143,14 @@ def _rotate(x: np.ndarray, y: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
 def _sweep_stack(u: np.ndarray, n: int, norms: np.ndarray, max_sweeps: int) -> np.ndarray:
     """Sweep the ``(n(n+1)/2, batch)`` stack ``u``, rows in the first layout of ``_round_robin(n)``.
 
-    Returns the ``(batch, n)`` diagonals, C-contiguous, in vertex order.  A
-    step's pp, qq and pq are the slices ``u[:P]``, ``u[P:2P]`` and ``u[n:n+P]``
-    of its P pairs; their angles and the diagonal's turn are ~20 numpy calls
-    on them.  The blocks' rows, then their columns, and the odd index's
-    columns are rotated in place on reshaped views of the rows after them,
-    each pair's ``c``, ``s`` broadcast over its block.  Then one gather,
-    ``u[perm]``, puts the rows in the next step's order.
+    Returns the ``(batch, n)`` diagonals, C-contiguous, in vertex order, since
+    numpy's sort places 0.0 and -0.0 by their input order.  A step's pp, qq
+    and pq are the slices ``u[:P]``, ``u[P:2P]`` and ``u[n:n+P]`` of its P
+    pairs; their angles and the diagonal's turn are ~20 numpy calls on them.
+    The blocks' rows, then their columns, and the odd index's columns are
+    rotated in place on reshaped views of the rows after them, each pair's
+    ``c``, ``s`` broadcast over its block.  Then one gather, ``u[perm]``, puts
+    the rows in the next step's order.
 
     A matrix retires at the first convergence test it passes, so it gets the
     bits it gets alone: its diagonal is put aside then and written back at the

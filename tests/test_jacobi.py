@@ -31,11 +31,6 @@ def symmetric_stack(rng, batch, n):
 ROBIN_ORDERS = range(1, 18)
 
 
-def upper_keys(n):
-    i, j = np.triu_indices(n)
-    return i * n + j
-
-
 class TestRoundRobin:
     @pytest.mark.parametrize("n", ROBIN_ORDERS)
     def test_every_pair_once_per_sweep(self, n):
@@ -69,8 +64,9 @@ class TestRoundRobin:
 
     @pytest.mark.parametrize("n", ROBIN_ORDERS)
     def test_each_layout_lists_every_key_once(self, n):
+        i, j = np.triu_indices(n)
         for layout in _round_robin(n).layouts:
-            np.testing.assert_array_equal(np.sort(layout), upper_keys(n))
+            np.testing.assert_array_equal(np.sort(layout), i * n + j)
 
     @pytest.mark.parametrize("n", ROBIN_ORDERS)
     def test_first_n_slots_are_the_diagonal(self, n):
