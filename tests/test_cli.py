@@ -1,6 +1,7 @@
 """Command-line interface: records, exit codes, file emission."""
 
 import hashlib
+import random
 import re
 
 import pytest
@@ -401,3 +402,88 @@ class TestScaleFree:
         assert (code, err) == (unit_code, "")
         assert "realizable=false" in out.splitlines() and "realizable=false" in unit_out
         assert code == (1 if command == "invert" else 0)
+
+
+#: sha256 of repr(cli_records()), written at commit 1e50ddb, when five
+#: commands still re-raised their ValueError as a private usage error
+CLI_DIGEST = "9de7a9f9b16645dded0a6583e1feadccb48a65d08c8ecb4e8bc685bc02eef5f4"
+
+_EDGE_COUNTS = {"star": 3, "cycle": 4, "path": 3, "kite": 4, "k4": 6}
+_SCALES = (1.0, 1.0, 1.0, 2.0**-40, 2.0**40, 1e-150, 1e150, 1e300)
+_BAD = ("nan", "inf", "-inf", "-1.5", "x", "1e400", "")
+
+
+def _numbers(rng, count):
+    """``count`` seeded numbers as the CLI reads them: ties, zeros, scales, bad entries, wrong arity."""
+    scale = rng.choice(_SCALES)
+    values = [repr(rng.uniform(0.0, 5.0) * scale) for _ in range(count)]
+    shape = rng.randrange(8)
+    if shape == 0 and count > 1:
+        values[1] = values[0]
+    elif shape == 1 and count:
+        values[rng.randrange(count)] = rng.choice(("0", "-0", "0.0"))
+    elif shape == 2 and count:
+        values[rng.randrange(count)] = rng.choice(_BAD)
+    elif shape == 3:
+        values = values[:-1] if rng.random() < 0.5 else values + ["1"]
+    return ",".join(values)
+
+
+def _cli_argvs(rng):
+    for graph in GRAPH_NAMES:
+        for _ in range(30):
+            edges = _EDGE_COUNTS.get(graph) or rng.choice((1, 3, 6, 10, 15, 21))
+            yield "eigs", "--graph", graph, "--weights=" + _numbers(rng, edges)
+            triple = _numbers(rng, 3 if graph in _EDGE_COUNTS else rng.randint(1, 9))
+            yield "check", "--graph", graph, "--triple=" + triple
+            yield "invert", "--graph", graph, "--triple=" + triple
+        for samples in ("1", "999", "1000", "1001", "4096", "0", "-3", "x"):
+            yield "frac", "--graph", graph, "--samples", samples, "--seed", str(rng.randrange(10**6))
+        yield "frac", "--graph", graph, "--samples", "50", "--seed=-1"
+    yield "invert", "--graph", "kn", "--triple=" + _numbers(rng, 60)
+    yield "invert", "--graph", "kn", "--triple="
+    for _ in range(40):
+        c = rng.choice(("0", "1", "2.5", "1e-300", "1e308", "nan", "inf", "-1", repr(rng.uniform(0, 3))))
+        yield "suspend", "--spectrum=0," + _numbers(rng, rng.randint(0, 6)), f"--c={c}"
+    yield "suspend", "--spectrum=", "--c=1"
+    outputs = (None, None, "g", "g", "sub/g", ".")
+    for _ in range(40):
+        argv = ["region", "--resolution", rng.choice(("2", "3", "6", "10", "2", "3", "6", "10", "1", "-4"))]
+        argv += ["--normalization=" + rng.choice(("1", "0.5", "3", "1e-300", "1e300", "1", "0.5", "nan", "-1", "0"))]
+        for flag, suffix in (("--out", ".csv"), ("--svg", ".svg")):
+            path = rng.choice(outputs)
+            if path is not None:
+                argv.append(f"{flag}={path + suffix if path != '.' else path}")
+        yield tuple(argv)
+
+
+def cli_records(capsys, tmp_path):
+    """Exit code, stdout, the error: lines of stderr and the region files of each seeded call.
+
+    The rest of stderr is argparse's usage text, which wraps with the terminal
+    width and changes across Python versions, so it is left out.
+    """
+    records = []
+    for argv in _cli_argvs(random.Random(9203)):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        files = []
+        for name in ("g.csv", "g.svg"):
+            path = tmp_path / name
+            if path.exists():
+                files.append((name, hashlib.sha256(path.read_bytes()).hexdigest()))
+                path.unlink()
+        records.append((argv, code, out, errors, files))
+    return records
+
+
+def test_cli_digest(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    records = cli_records(capsys, tmp_path)
+    codes = [code for _, code, _, _, _ in records]
+    assert {0, 1, 2, ("SystemExit", 2)} <= set(codes)
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == CLI_DIGEST
