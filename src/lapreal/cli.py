@@ -2,7 +2,10 @@
 
 Subcommands: eigs, check, invert, region, frac, suspend.  Results go to
 stdout as key=value records; exit code 0 on success, 1 when an invert
-target is not realizable, 2 on usage errors.
+target is not realizable, 2 on usage errors.  ``main`` is the one boundary
+for those: every ``ValueError`` or ``OSError`` a command raises, from its own
+parsing or from the library, becomes ``error: <message>``, the usage line and
+exit 2.
 """
 
 from __future__ import annotations
@@ -26,10 +29,6 @@ from .region import render_region
 GRAPH_NAMES = (*FOUR_VERTEX_KINDS, "k4", "kn")
 
 
-class UsageError(Exception):
-    pass
-
-
 def _fmt_list(values) -> str:
     return "[" + ",".join(_fmt(v) for v in values) + "]"
 
@@ -38,9 +37,9 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise UsageError(f"{flag} expects a comma-separated list of numbers, got {text!r}")
+        raise ValueError(f"{flag} expects a comma-separated list of numbers, got {text!r}") from None
     if not all(math.isfinite(v) for v in values):
-        raise UsageError(f"{flag} expects finite numbers, got {text!r}")
+        raise ValueError(f"{flag} expects finite numbers, got {text!r}")
     return values
 
 
@@ -52,7 +51,7 @@ def _topology(graph: str, weights=()) -> Topology:
         return Topology(graph)
     n = round((1.0 + math.sqrt(1.0 + 8.0 * len(weights))) / 2.0)
     if n * (n - 1) // 2 != len(weights) or n < 2:
-        raise UsageError(f"{len(weights)} weights do not match any complete graph K_n")
+        raise ValueError(f"{len(weights)} weights do not match any complete graph K_n")
     return complete(n)
 
 
@@ -63,11 +62,7 @@ def _complete_order(graph: str, target) -> int:
 
 def _cmd_eigs(args) -> int:
     weights = _parse_floats(args.weights, "--weights")
-    topology = _topology(args.graph, weights)
-    try:
-        spec = forward_spectrum(topology, weights)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    spec = forward_spectrum(_topology(args.graph, weights), weights)
     print(f"graph={args.graph}")
     print(f"spectrum={_fmt_list(spec)}")
     return 0
@@ -100,26 +95,20 @@ def _invert_records(graph: str, triple: list[float]) -> tuple[int, list[str]]:
 
 
 def _cmd_target(records, args) -> int:
-    """check and invert: print the ``records`` of --graph at --triple; bad input exits 2."""
+    """check and invert: print the ``records`` of --graph at --triple."""
     triple = _parse_floats(args.triple, "--triple")
-    try:
-        status, lines = records(args.graph, triple)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    status, lines = records(args.graph, triple)
     print(f"graph={args.graph}", *lines, sep="\n")
     return status
 
 
 def _cmd_region(args) -> int:
-    try:
-        grid = render_region(
-            args.resolution,
-            normalization=args.normalization,
-            csv_path=args.out,
-            svg_path=args.svg,
-        )
-    except (ValueError, OSError) as exc:
-        raise UsageError(str(exc))
+    grid = render_region(
+        args.resolution,
+        normalization=args.normalization,
+        csv_path=args.out,
+        svg_path=args.svg,
+    )
     print(f"resolution={grid.resolution}")
     print(f"normalization={_fmt(grid.normalization)}")
     print(f"cells={grid.cell_count}")
@@ -132,13 +121,9 @@ def _cmd_region(args) -> int:
 
 def _cmd_frac(args) -> int:
     if args.graph == "kn":
-        raise UsageError("frac supports star, cycle, path, kite and k4")
-    topology = _topology(args.graph)
-    try:
-        cfg = SamplerConfig(seed=args.seed, samples=args.samples)
-        estimate = estimate_region_fraction(topology, cfg)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        raise ValueError("frac supports star, cycle, path, kite and k4")
+    cfg = SamplerConfig(seed=args.seed, samples=args.samples)
+    estimate = estimate_region_fraction(_topology(args.graph), cfg)
     print(f"graph={args.graph}")
     print(f"fraction={_fmt(estimate.fraction)}")
     print(f"half_width_95={_fmt(estimate.half_width_95)}")
@@ -150,10 +135,7 @@ def _cmd_frac(args) -> int:
 
 def _cmd_suspend(args) -> int:
     spectrum = _parse_floats(args.spectrum, "--spectrum")
-    try:
-        out = suspend_spectrum(spectrum, args.c)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    out = suspend_spectrum(spectrum, args.c)
     print(f"spectrum={_fmt_list(out)}")
     return 0
 
@@ -208,7 +190,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2

@@ -286,37 +286,27 @@ def suspend_spectrum(spectrum, c: float) -> np.ndarray:
     return np.sort(out)
 
 
-def _complete_weight_matrix(lams_desc: list[float]) -> np.ndarray:
-    m = len(lams_desc)
-    w = np.zeros((m + 1, m + 1))
-    if m == 1:
-        w[0, 1] = w[1, 0] = lams_desc[0] / 2.0
-        return w
-    smallest = lams_desc[-1]
-    if smallest <= 0.0:
-        c = 0.0
-        core_targets = lams_desc[:-1]
-    else:
-        c = smallest / (m + 1)
-        core_targets = [max(v - c, 0.0) for v in lams_desc[:-1]]
-    core = _complete_weight_matrix(core_targets)
-    w[:m, :m] = core
-    w[:m, m] = c
-    w[m, :m] = c
-    return w
-
-
 def invert_complete(target) -> InverseSolution:
-    """Realize any nonnegative n-tuple on K_{n+1} by nested suspensions."""
+    """Realize any nonnegative n-tuple on K_{n+1} by nested suspensions.
+
+    For m = n..2, vertex m joins 0..m-1 with weight c[m], the smallest remaining
+    target over m + 1 (0 if zero), and the other targets drop by c[m]; K_2 takes
+    half the last target.  So edge (i, j), i < j, weighs c[j].
+    """
     vals = _validate_eigenvalues(target)
     if not vals:
         raise ValueError("empty target")
-    lams_desc = sorted(vals, reverse=True)
-    wmat = _complete_weight_matrix(lams_desc)
+    lams = sorted(vals, reverse=True)
     n1 = len(vals) + 1
+    c = [0.0] * n1
+    for m in range(n1 - 1, 1, -1):
+        smallest = lams.pop()
+        if smallest > 0.0:
+            c[m] = cm = smallest / (m + 1)
+            lams = [max(v - cm, 0.0) for v in lams]
+    c[1] = lams[0] / 2.0
     topo = complete(n1)
-    weights = tuple(float(wmat[i, j]) for i, j in topo.edges)
-    solution = InverseSolution(topo, weights, vals)
+    solution = InverseSolution(topo, tuple(c[j] for _, j in topo.edges), vals)
     if solution.residual > RESIDUAL_TOL * max(1.0, sum(vals)):
         raise InternalInfeasible(f"residual {solution.residual} above tolerance for K{n1}")
     return solution

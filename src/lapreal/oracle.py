@@ -29,6 +29,9 @@ GENERATOR_NAME = "numpy-PCG64"
 _KIND_STREAM = {kind: i for i, kind in enumerate((*FOUR_VERTEX_KINDS, COMPLETE_KIND), 1)}
 _PURPOSE_STREAM = {"forward": 1, "grid": 2, "fraction": 3, "roundtrip": 4}
 
+#: points ``estimate_region_fraction`` draws and masks at a time
+FRACTION_BLOCK = 1 << 20
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -158,9 +161,13 @@ def negative_grid_search(topology: Topology, target, cfg: SamplerConfig) -> floa
 def estimate_region_fraction(topology: Topology, cfg: SamplerConfig) -> FractionEstimate:
     """Monte Carlo estimate of the realizable share of the eigenvalue simplex."""
     rng = _rng(cfg, topology, "fraction")
-    x, y, z = sample_simplex(rng, cfg.samples)
-    mask = MASKS[topology.kind](x, y, z)
-    fraction = float(np.count_nonzero(mask)) / cfg.samples
+    mask = MASKS[topology.kind]
+    hits = 0
+    # blocks of any size draw the same points from the stream; only memory depends on it
+    for start in range(0, cfg.samples, FRACTION_BLOCK):
+        x, y, z = sample_simplex(rng, min(FRACTION_BLOCK, cfg.samples - start))
+        hits += np.count_nonzero(mask(x, y, z))
+    fraction = float(hits) / cfg.samples
     half_width = 1.96 * math.sqrt(fraction * (1.0 - fraction) / cfg.samples)
     return FractionEstimate(fraction, half_width, cfg.samples)
 

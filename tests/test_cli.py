@@ -1,11 +1,14 @@
 """Command-line interface: records, exit codes, file emission."""
 
 import hashlib
+import io
 import random
 import re
+import sys
 
 import pytest
 
+from lapreal import cli
 from lapreal.cli import GRAPH_NAMES, build_parser, main
 from lapreal.graphs import FOUR_VERTEX_KINDS
 
@@ -272,6 +275,43 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestBoundary:
+    """``main`` turns a ValueError or OSError from any command's library call into exit 2."""
+
+    CALLS = [
+        ("forward_spectrum", ("eigs", "--graph", "star", "--weights", "1,1,1")),
+        ("CHECKS", ("check", "--graph", "star", "--triple", "1,1,4")),
+        ("INVERTERS", ("invert", "--graph", "kite", "--triple", "4,3,1")),
+        ("render_region", ("region", "--resolution", "4")),
+        ("estimate_region_fraction", ("frac", "--graph", "cycle", "--samples", "10", "--seed", "1")),
+        ("suspend_spectrum", ("suspend", "--spectrum", "0,2", "--c", "1")),
+    ]
+
+    @pytest.mark.parametrize("error", [ValueError, OSError])
+    @pytest.mark.parametrize("name, argv", CALLS, ids=[name for name, _ in CALLS])
+    def test_library_error_exits_2(self, capsys, monkeypatch, error, name, argv):
+        def boom(*args, **kwargs):
+            raise error("boom")
+
+        table = getattr(cli, name)
+        if isinstance(table, dict):
+            monkeypatch.setitem(table, argv[2], boom)
+        else:
+            monkeypatch.setattr(cli, name, boom)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: boom\n")
+
+    def test_failed_print_exits_2(self, capsys, monkeypatch):
+        # a ValueError raised while printing ended in a traceback
+        closed = io.StringIO()
+        closed.close()
+        monkeypatch.setattr(sys, "stdout", closed)
+        code, _, err = run(capsys, "eigs", "--graph", "star", "--weights", "1,1,1")
+        assert code == 2
+        assert err.startswith("error: I/O operation on closed file")
 
 
 class TestParserReuse:

@@ -1,15 +1,18 @@
 """Constructive inverse solvers and the suspension law."""
 
 import dataclasses
+import itertools
 import math
 import pickle
+import random
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from lapreal import forward_spectrum
-from lapreal.graphs import FOUR_VERTEX_KINDS, KITE, PATH4, STAR, build_laplacian
+from lapreal.graphs import FOUR_VERTEX_KINDS, KITE, PATH4, STAR, build_laplacian, complete
 from lapreal import inverse
 from lapreal.inverse import (
     INVERTERS,
@@ -448,6 +451,64 @@ class TestInvertComplete:
             assert sol.topology.order == n + 1
             assert min(sol.weights) >= 0.0
             assert sol.residual <= 1e-7
+
+    def test_weights_match_the_recursive_construction(self):
+        # every order of each seeded target, with zeros, -0.0, ties and scales 2**+-40
+        rng = random.Random(61)
+        seen = set()
+        for n in range(1, 61):
+            for shape in ("plain", "zeros", "ties", "both", "all zero"):
+                values = [rng.uniform(0.0, 4.0) for _ in range(n)]
+                if shape in ("zeros", "both", "all zero"):
+                    zeros = n if shape == "all zero" else rng.randint(1, n)
+                    for i in rng.sample(range(n), zeros):
+                        values[i] = rng.choice((0.0, -0.0))
+                if shape in ("ties", "both") and n > 1:
+                    values = [rng.choice(values[: max(1, n // 3)]) for _ in values]
+                scale = rng.choice((2.0**-40, 1.0, 2.0**40))
+                target = [v * scale for v in values]
+                orders = itertools.permutations(target) if n <= 4 else [target, target[::-1]]
+                for order in orders:
+                    got = [w.hex() for w in invert_complete(order).weights]
+                    assert got == recursive_complete_weights(order), order
+                    seen.update(got)
+        assert "-0x0.0p+0" in seen and "0x0.0p+0" in seen
+
+    def test_memory_is_quadratic(self):
+        # the recursion kept an (m+1)x(m+1) matrix alive per level: 167 MB at 400 entries
+        target = np.random.default_rng(400).uniform(0.0, 4.0, 400)
+        tracemalloc.start()
+        try:
+            invert_complete(target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+
+def recursive_complete_weights(target):
+    """Hex weights of the recursive nested suspensions ``invert_complete`` replaced."""
+
+    def weight_matrix(lams_desc):
+        m = len(lams_desc)
+        w = np.zeros((m + 1, m + 1))
+        if m == 1:
+            w[0, 1] = w[1, 0] = lams_desc[0] / 2.0
+            return w
+        smallest = lams_desc[-1]
+        if smallest <= 0.0:
+            c = 0.0
+            core_targets = lams_desc[:-1]
+        else:
+            c = smallest / (m + 1)
+            core_targets = [max(v - c, 0.0) for v in lams_desc[:-1]]
+        w[:m, :m] = weight_matrix(core_targets)
+        w[:m, m] = c
+        w[m, :m] = c
+        return w
+
+    w = weight_matrix(sorted(map(float, target), reverse=True))
+    return [float(w[i, j]).hex() for i, j in complete(len(target) + 1).edges]
 
 
 INVERTERS_AND_TARGETS = [

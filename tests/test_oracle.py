@@ -1,8 +1,11 @@
 """Randomized verification oracles (smaller sample sizes than acceptance)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lapreal import oracle
 from lapreal.graphs import (
     CYCLE4,
     FOUR_VERTEX_KINDS,
@@ -103,6 +106,30 @@ class TestEstimateRegionFraction:
         a = estimate_region_fraction(STAR, SamplerConfig(seed=5, samples=20000))
         b = estimate_region_fraction(STAR, SamplerConfig(seed=5, samples=20000))
         assert a == b
+
+    @pytest.mark.parametrize("topology", [*FOUR, complete(4)], ids=lambda t: t.kind)
+    def test_blocks_keep_the_bits(self, monkeypatch, topology):
+        # one draw of every point, masked at once, is the reference
+        for samples in (1, 999, 1000, 1001, 4096, 50000):
+            cfg = SamplerConfig(seed=samples, samples=samples)
+            x, y, z = sample_simplex(_rng(cfg, topology, "fraction"), samples)
+            want = float(np.count_nonzero(MASKS[topology.kind](x, y, z))) / samples
+            default = estimate_region_fraction(topology, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "FRACTION_BLOCK", 1000)
+                blocked = estimate_region_fraction(topology, cfg)
+            assert default.fraction.hex() == blocked.fraction.hex() == want.hex()
+            assert default.half_width_95.hex() == blocked.half_width_95.hex()
+
+    def test_memory_is_bounded(self):
+        # all points were drawn at once: a 244 MB peak at 4e6 points
+        tracemalloc.start()
+        try:
+            estimate_region_fraction(STAR, SamplerConfig(seed=1, samples=4_000_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120e6
 
 
 class TestRoundtripSuite:
