@@ -163,7 +163,7 @@ def estimate_region_fraction(topology: Topology, cfg: SamplerConfig) -> Fraction
     rng = _rng(cfg, topology, "fraction")
     mask = MASKS[topology.kind]
     hits = 0
-    # blocks of any size draw the same points from the stream; only memory depends on it
+    # blocks of any size draw the same points from the stream, so only memory depends on the size
     for start in range(0, cfg.samples, FRACTION_BLOCK):
         x, y, z = sample_simplex(rng, min(FRACTION_BLOCK, cfg.samples - start))
         hits += np.count_nonzero(mask(x, y, z))
