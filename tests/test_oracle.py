@@ -122,7 +122,7 @@ class TestEstimateRegionFraction:
             assert default.half_width_95.hex() == blocked.half_width_95.hex()
 
     def test_memory_is_bounded(self):
-        # all points were drawn at once: a 244 MB peak at 4e6 points
+        # all points were drawn at once: a 257 MB peak at 4e6 points
         tracemalloc.start()
         try:
             estimate_region_fraction(STAR, SamplerConfig(seed=1, samples=4_000_000))
