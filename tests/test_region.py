@@ -96,6 +96,9 @@ class TestEvaluateGrid:
         # the grid evaluates each mask once per permutation orbit; it must
         # give every point the bits the masks give on the full lattice
         grid = evaluate_grid(res)
+        # the lattice points, by i, then j, as the upper triangle lists them
+        i, k = np.triu_indices(res + 1)
+        np.testing.assert_array_equal(grid.bary, np.column_stack([i, k - i, res - k]))
         x, y, z = (grid.bary * (1.0 / res)).T
         full = np.column_stack(
             [MASKS["complete" if name == "k4" else name](x, y, z) for name in PANEL_ORDER]
