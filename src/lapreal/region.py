@@ -16,6 +16,7 @@ masks on the full lattice give every point of an orbit the same bits
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,18 @@ SQRT3 = math.sqrt(3.0)
 
 @dataclass(frozen=True)
 class RegionGrid:
+    """The lattice points of one resolution and their mask bits.
+
+    ``bary`` holds the points (i, j, resolution - i - j) as int32 rows, by i,
+    then j, so lattice row i is the contiguous slice of its resolution + 1 - i
+    points that starts at ``_row_starts(resolution)[i]``.  ``masks`` is
+    symmetric: every permutation of a point has its bits.  The SVG reads a
+    figure row off a lattice row and relies on both.
+    """
+
     resolution: int
     normalization: float
-    bary: np.ndarray  # (cells, 3) integer lattice coordinates
+    bary: np.ndarray  # (cells, 3) int32 lattice coordinates
     masks: np.ndarray  # (cells, 5) booleans in PANEL_ORDER
 
     @property
@@ -54,34 +64,57 @@ class RegionGrid:
         return self.bary * (self.normalization / self.resolution)
 
 
+def _row_starts(res: int) -> np.ndarray:
+    """Index in ``bary`` of each lattice row's first point (i, 0, res - i), i = 0..res."""
+    i = np.arange(res + 1)
+    return i * (2 * res + 3 - i) // 2
+
+
 def evaluate_grid(resolution: int, normalization: float = 1.0) -> RegionGrid:
     """Evaluate all five predicates on the barycentric lattice."""
-    if resolution < 2:
+    try:
+        res = operator.index(resolution)
+    except TypeError:
+        raise ValueError(f"resolution must be an integer, got {resolution!r}") from None
+    if res < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     if not (math.isfinite(normalization) and normalization > 0):
         raise ValueError(f"normalization must be positive and finite, got {normalization}")
-    # lattice points (i, j, resolution - i - j) by i, then j; k = i + j
-    i, k = np.triu_indices(resolution + 1)
-    a, b, c = i, k - i, resolution - k
-    bary = np.column_stack([a, b, c])
+    # lattice points (i, j, res - i - j) by i, then j: row i holds the
+    # res + 1 - i points from _row_starts(res)[i], j counting up from 0
+    n = res + 1
+    first = _row_starts(res)
+    bary = np.empty((n * (n + 1) // 2, 3), dtype=np.int32)
+    a, b, c = bary.T
+    length = np.arange(n, 0, -1)
+    a[:] = np.repeat(np.arange(n, dtype=np.int32), length)
+    # j is the running cell index less its row's first
+    np.subtract(np.arange(len(bary)), np.repeat(first, length), out=b)
+    np.subtract(res - a, b, out=c)
     # each mask runs on the sorted points a <= b <= c only (module docstring):
-    # orbit[n] is lattice point n's sorted point, found by its (lo, mid) in a
-    # table of (res // 3 + 1) * (res + 1) keys, as lo <= res / 3
+    # orbit[t] is lattice point t's sorted point, found by its key
+    # lo * (res + 1) + mid in a table of (res // 3 + 1) * (res + 1) keys, as
+    # lo <= res / 3; the keys grow as res**2, so they are np.intp
     lo = np.minimum(np.minimum(a, b), c)
-    mid = resolution - lo - np.maximum(np.maximum(a, b), c)
+    mid = np.maximum(np.maximum(a, b), c)
+    np.subtract(res - lo, mid, out=mid)
+    keys = np.multiply(lo, n, dtype=np.intp)
+    keys += mid
+    del lo, mid
     reps = np.flatnonzero((a <= b) & (b <= c))
-    table = np.empty((resolution // 3 + 1) * (resolution + 1), dtype=np.intp)
-    table[a[reps] * (resolution + 1) + b[reps]] = np.arange(reps.size)
-    orbit = table[lo * (resolution + 1) + mid]
+    table = np.empty((res // 3 + 1) * n, dtype=np.intp)
+    table[np.multiply(a[reps], n, dtype=np.intp) + b[reps]] = np.arange(reps.size)
+    orbit = table[keys]
+    del table, keys
     # the criteria are homogeneous: evaluated on the unit simplex, the
     # masks cannot overflow or underflow at any normalization
-    scale = 1.0 / resolution
+    scale = 1.0 / res
     x, y, z = a[reps] * scale, b[reps] * scale, c[reps] * scale
     masks = np.column_stack(
         [MASKS["complete" if name == "k4" else name](x, y, z) for name in PANEL_ORDER]
     )
     # take copies whole rows; masks[orbit] is ~4x slower on a (cells, 5) array
-    return RegionGrid(resolution, normalization, bary, masks.take(orbit, axis=0))
+    return RegionGrid(res, normalization, bary, masks.take(orbit, axis=0))
 
 
 #: cells gathered into one string and written at a time, so memory stays
@@ -119,35 +152,47 @@ def _cartesian(i: int, j: int, k: int, res: int) -> tuple[float, float]:
     return (k - i) / res, SQRT3 * j / res
 
 
-def _row_runs(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximal runs of True in each row of a 2-D array: arrays row, start, stop (inclusive)."""
-    rows, cols = flags.shape
-    padded = np.zeros((rows, cols + 2), dtype=bool)
-    padded[:, 1:-1] = flags
-    # every padded row starts and ends False, so its changes pair up as
-    # (start, stop + 1) and the flat list of changes pairs up in order
-    row, col = np.divmod(np.flatnonzero(np.diff(padded, axis=1)), cols + 1)
-    return row[::2], col[::2], col[1::2] - 1
+def _runs(flags: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of True in a 1-D bool array cut into rows that start at ``first``.
+
+    Arrays row, start, stop (inclusive); start and stop count from the first
+    entry of the run's row, and no run crosses the end of a row.
+    """
+    last = np.append(first[1:], flags.size) - 1
+    edge = np.empty(flags.shape, dtype=bool)
+    # a run starts at a set flag whose left neighbour in its row is unset
+    np.greater(flags[1:], flags[:-1], out=edge[1:])
+    edge[first] = flags[first]
+    start = np.flatnonzero(edge)
+    # and stops at a set flag whose right neighbour in its row is unset
+    np.greater(flags[:-1], flags[1:], out=edge[:-1])
+    edge[last] = flags[last]
+    stop = np.flatnonzero(edge)
+    row = np.searchsorted(first, start, side="right") - 1
+    return row, start - first[row], stop - first[row]
 
 
 def _panel_elements(grid: RegionGrid, columns: np.ndarray) -> list[list[str]]:
-    """The <rect> and <line> elements of one panel per column of a (cells, panels) mask."""
+    """The <rect> and <line> elements of one panel per column of a (cells, panels) mask.
+
+    Each column must be symmetric, as the masks are (``RegionGrid``).
+    """
     res = grid.resolution
     n = res + 1
     cell = 1.0 / res
     half_h = SQRT3 / (2.0 * res)
-    # flags[p, j, i] is panel p's flag of lattice point (i, j, res - i - j),
-    # so each lattice row is one row of the panel; unset entries stay False
-    flags = np.zeros((columns.shape[1], n, n), dtype=bool)
-    flags[:, grid.bary[:, 1], grid.bary[:, 0]] = columns.T
+    # every mask is symmetric, so lattice row j, the points (j, t, res - j - t)
+    # that are one slice of a column, has the flags of the figure's row
+    # y = j, the points (t, j, res - j - t), t = 0..res - j
+    first = _row_starts(res)
+    runs = [_runs(columns[:, p], first) for p in range(columns.shape[1])]
     # gray interior: one rectangle per run of realizable points in a row.
     # A run (j, a, b) starts at x = (res - j - 2b) / res - cell, so the x, y
     # and width labels come from tables of their few distinct values
     xs = [f"{v:.6f}" for v in (np.arange(-res, res + 1) / res - cell).tolist()]
     ys = [f"{v:.6f}" for v in (SQRT3 * np.arange(n) / res - half_h).tolist()]
     height = f"{2 * half_h:.6f}"
-    row, a, b = _row_runs(flags.reshape(-1, n))
-    p, j = np.divmod(row, n)
+    j, a, b = (np.concatenate(part) for part in zip(*runs))
     width = (res - j - 2 * a) / res - (res - j - 2 * b) / res + 2 * cell
     widths, width_of = np.unique(width, return_inverse=True)
     ws = [f"{v:.6f}" for v in widths.tolist()]
@@ -156,19 +201,22 @@ def _panel_elements(grid: RegionGrid, columns: np.ndarray) -> list[list[str]]:
         for x, y, w in zip((2 * res - j - 2 * b).tolist(), j.tolist(), width_of.tolist())
     ]
     # runs come panel by panel, so each panel's rects are one slice
-    ends = np.cumsum(np.bincount(p, minlength=columns.shape[1])).tolist()
+    ends = np.cumsum([row.size for row, _, _ in runs]).tolist()
     panels = [rects[start:stop] for start, stop in zip([0] + ends, ends)]
     # black overlay: realizable points with some zero coordinate
     stroke = f"{1.8 * cell:.6f}"
-    idx = np.arange(n)
     # lattice point (i, j) at position t along each edge
     edge_points = (
         lambda t: (t, 0),  # bottom edge, y = 0
         lambda t: (0, t),  # left edge, x = 0
         lambda t: (res - t, t),  # right edge, z = 0
     )
-    edge_flags = np.stack([flags[:, 0, :], flags[:, :, 0], flags[:, idx, res - idx]], axis=1)
-    for row, a, b in np.column_stack(_row_runs(edge_flags.reshape(-1, n))).tolist():
+    # by symmetry the bottom and the left edge both have lattice row 0's
+    # flags, and the right edge the flags of each row's last point
+    row0 = columns[:n].T
+    edge_flags = np.stack([row0, row0, columns[np.append(first[1:], len(columns)) - 1].T], axis=1)
+    edge_runs = _runs(edge_flags.ravel(), np.arange(0, edge_flags.size, n))
+    for row, a, b in np.column_stack(edge_runs).tolist():
         p, edge = divmod(row, len(edge_points))
         i0, j0 = edge_points[edge](a)
         i1, j1 = edge_points[edge](b)

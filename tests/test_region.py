@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from lapreal.realizability import MASKS
 from lapreal.region import (
     PANEL_ORDER,
     _panel_elements,
-    _row_runs,
+    _row_starts,
+    _runs,
     evaluate_grid,
     render_region,
     write_csv,
@@ -99,6 +102,7 @@ class TestEvaluateGrid:
         # the lattice points, by i, then j, as the upper triangle lists them
         i, k = np.triu_indices(res + 1)
         np.testing.assert_array_equal(grid.bary, np.column_stack([i, k - i, res - k]))
+        assert grid.bary.dtype == np.int32
         x, y, z = (grid.bary * (1.0 / res)).T
         full = np.column_stack(
             [MASKS["complete" if name == "k4" else name](x, y, z) for name in PANEL_ORDER]
@@ -123,14 +127,46 @@ class TestEvaluateGrid:
             np.testing.assert_array_equal(a.masks, b.masks, err_msg=f"{normalization}")
 
     def test_rejects_bad_resolution(self):
-        with pytest.raises(ValueError):
-            evaluate_grid(1)
+        for bad in (1, 0, -4, True):
+            with pytest.raises(ValueError, match=f"resolution must be >= 2, got {bad}$"):
+                evaluate_grid(bad)
+        # floats used to fail inside numpy, naming 3.5 and 8.0 for 2.5 and 3.0
+        for bad in (2.5, 3.0, np.float64(4.0), "6", None):
+            message = f"resolution must be an integer, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                evaluate_grid(bad)
+        assert evaluate_grid(np.int64(3)).bary.tolist() == evaluate_grid(3).bary.tolist()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_bad_normalization(self, bad):
         # NaN and inf used to pass and write nan/inf coordinates
         with pytest.raises(ValueError, match="normalization"):
             evaluate_grid(4, normalization=bad)
+
+
+class TestMemory:
+    # tracemalloc peaks at resolution 1000, numpy 2.4: evaluate_grid 48.65 MiB
+    # and write_svg 14.66 MiB when the grid was built from int64 index arrays
+    # and the SVG scattered the masks into a dense (panels, n, n) flag cube;
+    # 17.41 and 2.51 MiB with the int32 lattice and the lattice-row runs
+    def test_evaluate_grid(self):
+        tracemalloc.start()
+        try:
+            evaluate_grid(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+    def test_write_svg(self, tmp_path):
+        grid = evaluate_grid(1000)
+        tracemalloc.start()
+        try:
+            write_svg(grid, str(tmp_path / "g.svg"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestWriteCsv:
@@ -209,10 +245,10 @@ class TestGoldenBytes:
         assert (sha256(csv), sha256(svg)) == GOLDEN[(res, norm)]
 
 
-def reference_runs(flags):
+def reference_runs(rows):
     """Runs of True per row by a plain loop, as (row, start, stop) with stop inclusive."""
     out = []
-    for row, values in enumerate(flags.tolist()):
+    for row, values in enumerate(rows):
         start = None
         for t, flag in enumerate(values + [False]):
             if flag and start is None:
@@ -223,15 +259,47 @@ def reference_runs(flags):
     return out
 
 
+def runs_of(flags, first):
+    row, start, stop = _runs(np.asarray(flags, dtype=bool), np.asarray(first))
+    return list(zip(row.tolist(), start.tolist(), stop.tolist()))
+
+
+def cut(flags, first):
+    """The rows of a flat list that start at the offsets ``first``."""
+    return [flags[lo:hi] for lo, hi in zip(first, [*first[1:], len(flags)])]
+
+
 class TestRunDetection:
     def test_matches_loop_on_random_rows(self):
         rng = np.random.default_rng(5)
-        for shape in [(1, 1), (3, 1), (4, 9), (17, 40)]:
+        for lengths in [[1], [1, 1, 1], [9] * 4, rng.integers(1, 40, 17).tolist()]:
+            first = np.cumsum([0] + lengths[:-1]).tolist()
             for p in (0.0, 0.3, 0.8, 1.0):
-                flags = rng.random(shape) < p
-                row, start, stop = _row_runs(flags)
-                runs = list(zip(row.tolist(), start.tolist(), stop.tolist()))
-                assert runs == reference_runs(flags)
+                flags = (rng.random(sum(lengths)) < p).tolist()
+                assert runs_of(flags, first) == reference_runs(cut(flags, first))
+        # on the lattice, whose rows shrink by one point each
+        for res in (2, 3, 10, 31):
+            first = _row_starts(res).tolist()
+            assert first == [i * (res + 1) - i * (i - 1) // 2 for i in range(res + 1)]
+            flags = (rng.random((res + 1) * (res + 2) // 2) < 0.6).tolist()
+            assert runs_of(flags, first) == reference_runs(cut(flags, first))
+
+    def test_runs_stop_at_row_ends(self):
+        first = [0, 5, 8, 9, 14]
+        size = 19
+        # all set: one run per row, each ending where the next row starts
+        want = [(0, 0, 4), (1, 0, 2), (2, 0, 0), (3, 0, 4), (4, 0, 4)]
+        assert runs_of([True] * size, first) == want
+        assert runs_of([False] * size, first) == []
+        # alternating within each row: every set flag is a run of its own, as
+        # the set last flag of rows 0, 1, 2 and 3 meets a set first flag
+        flags = sum(([t % 2 == 0 for t in range(len(r))] for r in cut([0] * size, first)), [])
+        want = [(row, t, t) for row, r in enumerate(cut(flags, first)) for t in range(0, len(r), 2)]
+        assert runs_of(flags, first) == want
+        # a run across a row boundary is two runs
+        flags = [False] * size
+        flags[3:7] = [True] * 4
+        assert runs_of(flags, first) == [(0, 3, 4), (1, 0, 1)]
 
     def test_all_false_column_draws_nothing(self):
         grid = evaluate_grid(9)
@@ -248,17 +316,18 @@ class TestRunDetection:
     def test_two_runs_in_one_row(self):
         res = 6
         grid = evaluate_grid(res)
-        i, j = grid.bary[:, 0], grid.bary[:, 1]
-        # row j = 0 holds i = 0..6: runs at i in {0, 1} and i in {4, 5}
-        column = (j == 0) & np.isin(i, [0, 1, 4, 5])
+        # a symmetric column, as every mask is: the orbits of (0, 0, 6) and
+        # (0, 1, 5), so the bottom row (t, 0, 6 - t) runs at t in {0, 1} and {5, 6}
+        lo, mid, _ = np.sort(grid.bary, axis=1).T
+        column = (lo == 0) & np.isin(mid, [0, 1])
         (parts,) = _panel_elements(grid, column[:, None])
-        rects = [p for p in parts if p.startswith("<rect")]
-        assert len(rects) == 2
         half_h = math.sqrt(3.0) / (2.0 * res)
-        assert all(f'y="{-half_h:.6f}"' in r for r in rects)
+        rects = [p for p in parts if p.startswith("<rect") and f'y="{-half_h:.6f}"' in p]
+        # a run (0, a, b) starts at x = (6 - 2b) / 6 - 1 / 6
+        assert [r.split('"')[1] for r in rects] == ["0.500000", "-1.166667"]
 
     def test_panels_drawn_together_match_each_alone(self):
-        # all panels share one scatter and one run search; each must get
+        # all panels share one width table and one edge run search; each must get
         # exactly the elements it gets when drawn on its own
         grid = evaluate_grid(17)
         together = _panel_elements(grid, grid.masks)
