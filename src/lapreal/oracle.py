@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,9 @@ class SamplerConfig:
     grid_resolution: int = 25
 
     def __post_init__(self):
+        # numpy's own message for a negative seed names neither it nor its value
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.w_max <= 0:

@@ -15,8 +15,10 @@ masks on the full lattice give every point of an orbit the same bits
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,16 +274,49 @@ def write_svg(grid: RegionGrid, path: str) -> None:
         fh.write("\n".join(parts) + "\n")
 
 
+@contextlib.contextmanager
+def _held_open(paths: list[str]):
+    """Hold every path open for writing, truncating none, while the body runs.
+
+    When a path cannot be opened, the files this call created are removed
+    and the error is raised before the body runs, so no file is changed or
+    left behind.  Held open, a pipe's reader sees no end of file between
+    the writes of the body.
+    """
+    fds, created = [], []
+    try:
+        try:
+            for path in paths:
+                try:
+                    fds.append(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                    created.append(path)
+                except FileExistsError:
+                    fds.append(os.open(path, os.O_WRONLY))
+        except OSError:
+            for path in created:
+                os.remove(path)
+            raise
+        yield
+    finally:
+        for fd in fds:
+            os.close(fd)
+
+
 def render_region(
     resolution: int,
     normalization: float = 1.0,
     csv_path: str | None = None,
     svg_path: str | None = None,
 ) -> RegionGrid:
-    """Evaluate the grid and emit the requested files."""
+    """Evaluate the grid and emit the requested files.
+
+    Both files are opened before either is written, so a path that cannot be
+    opened leaves every file as it was.
+    """
     grid = evaluate_grid(resolution, normalization)
-    if csv_path:
-        write_csv(grid, csv_path)
-    if svg_path:
-        write_svg(grid, svg_path)
+    with _held_open([path for path in (csv_path, svg_path) if path]):
+        if csv_path:
+            write_csv(grid, csv_path)
+        if svg_path:
+            write_svg(grid, svg_path)
     return grid

@@ -227,8 +227,47 @@ class TestRegion:
         assert "normalization" in err
         assert not csv.exists()
 
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("bad", [".", "sub/g"], ids=["directory", "missing-directory"])
+    @pytest.mark.parametrize("good_flag, bad_flag", [("--out", "--svg"), ("--svg", "--out")])
+    def test_bad_output_changes_no_file(
+        self, capsys, tmp_path, monkeypatch, existing, bad, good_flag, bad_flag
+    ):
+        # a good --out and a failing --svg used to leave a complete g.csv
+        # behind, or overwrite the one that was there, and still exit 2
+        monkeypatch.chdir(tmp_path)
+        good = "g.csv" if good_flag == "--out" else "g.svg"
+        if bad != ".":
+            bad += ".csv" if bad_flag == "--out" else ".svg"
+        if existing:
+            (tmp_path / good).write_bytes(b"kept\n")
+        argv = ("region", "--resolution", "6", f"{good_flag}={good}", f"{bad_flag}={bad}")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno ") and f"'{bad}'" in err.splitlines()[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([good] if existing else [])
+        if existing:
+            assert (tmp_path / good).read_bytes() == b"kept\n"
+
+    def test_overwrites_longer_files(self, capsys, tmp_path):
+        fresh = {name: tmp_path / f"fresh.{name}" for name in ("csv", "svg")}
+        old = {name: tmp_path / f"old.{name}" for name in ("csv", "svg")}
+        for path in old.values():
+            path.write_bytes(b"x" * 10**6)
+        for paths in (fresh, old):
+            argv = ("region", "--resolution", "5", f"--out={paths['csv']}", f"--svg={paths['svg']}")
+            assert run(capsys, *argv)[0] == 0
+        for name in ("csv", "svg"):
+            assert old[name].read_bytes() == fresh[name].read_bytes()
+
 
 class TestFrac:
+    def test_negative_seed_is_named(self, capsys):
+        # used to print numpy's "expected non-negative integer"
+        code, out, err = run(capsys, "frac", "--graph", "star", "--samples", "50", "--seed=-1")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == "error: seed must be a non-negative integer, got -1"
+
     def test_k4_exact(self, capsys):
         code, out, _ = run(
             capsys, "frac", "--graph", "k4", "--samples", "1000", "--seed", "1"
@@ -444,9 +483,13 @@ class TestScaleFree:
         assert code == (1 if command == "invert" else 0)
 
 
-#: sha256 of repr(cli_records()), written at commit 1e50ddb, when five
-#: commands still re-raised their ValueError as a private usage error
-CLI_DIGEST = "9de7a9f9b16645dded0a6583e1feadccb48a65d08c8ecb4e8bc685bc02eef5f4"
+#: sha256 of repr(cli_records()).  Written at commit 1e50ddb, when five
+#: commands still re-raised their ValueError as a private usage error;
+#: re-pinned once when region began to open both outputs before writing
+#: either (four records with a good --out and a failing --svg no longer
+#: leave a g.csv) and SamplerConfig began to name a negative seed (the five
+#: frac --seed=-1 records)
+CLI_DIGEST = "38f2eabf7ff0f892142f34dc200debf43e6b14bf1ec35d06dc462444cae952c0"
 
 _EDGE_COUNTS = {"star": 3, "cycle": 4, "path": 3, "kite": 4, "k4": 6}
 _SCALES = (1.0, 1.0, 1.0, 2.0**-40, 2.0**40, 1e-150, 1e150, 1e300)

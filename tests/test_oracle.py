@@ -1,5 +1,6 @@
 """Randomized verification oracles (smaller sample sizes than acceptance)."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,17 @@ class TestSamplerConfig:
             SamplerConfig(seed=1, samples=10, w_max=0.0)
         with pytest.raises(ValueError):
             SamplerConfig(seed=1, samples=10, grid_resolution=1)
+
+    def test_rejects_bad_seed(self):
+        # a negative seed used to fail in numpy's SeedSequence with
+        # "expected non-negative integer", a float seed with a TypeError
+        for bad in (-1, -(2**70), 1.5, 2.0, np.float64(3.0), "3", None):
+            message = f"seed must be a non-negative integer, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                SamplerConfig(seed=bad, samples=10)
+        for good in (0, np.int64(4), 2**70):
+            cfg = SamplerConfig(seed=good, samples=10)
+            assert estimate_region_fraction(STAR, cfg).samples == 10
 
 
 class TestSampleSimplex:
