@@ -113,12 +113,14 @@ def build_laplacian(topology: Topology, weights) -> np.ndarray:
     return np.array(rows)
 
 
-def build_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`build_laplacian` for a (batch, edge_count) array.
+def _checked_stack(topology: Topology, weight_rows, size: int, add, sums, label: str) -> np.ndarray:
+    """The ``(batch, size, size)`` view of a zeroed ``(size, size, batch)`` array filled by ``add(array, w)``.
 
-    The stack is built as an ``(n, n, batch)`` array, so each entry is a
-    contiguous batch vector, and returned as its ``(batch, n, n)`` transposed
-    view, which ``jacobi_spectra`` takes back to that layout with a plain copy.
+    ``w`` is ``weight_rows`` as a float array, checked before ``add`` runs: a
+    shape other than ``(batch, edge_count)``, a NaN, an inf or a negative
+    weight raises.  After it, the entries ``sums`` (index arrays i, j), which
+    add weights, are checked for overflow: the first row that holds an inf,
+    then its first such entry, raises, named by ``label.format(i=i, j=j)``.
     """
     w = np.asarray(weight_rows, dtype=float)
     if w.ndim != 2 or w.shape[1] != topology.edge_count:
@@ -128,20 +130,82 @@ def build_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarray:
         raise ValueError(f"non-finite edge weight {w[~finite][0]}")
     if np.any(w < 0):
         raise ValueError("negative edge weight")
-    n = topology.order
-    lap = np.zeros((n, n, w.shape[0]))
+    stack = np.zeros((size, size, w.shape[0]))
     with np.errstate(over="ignore"):
+        add(stack, w)
+    i, j = sums
+    overflow = np.isinf(stack[i, j])  # (len(i), batch)
+    if overflow.any():
+        k, e = np.argwhere(overflow.T)[0]
+        raise ValueError(f"{label.format(i=i[e], j=j[e])} in row {k} overflows the float range")
+    return stack.transpose(2, 0, 1)
+
+
+def build_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`build_laplacian` for a (batch, edge_count) array.
+
+    The stack is built as an ``(n, n, batch)`` array, so each entry is a
+    contiguous batch vector, and returned as its ``(batch, n, n)`` transposed
+    view, which ``jacobi_spectra`` takes back to that layout with a plain copy.
+    The weights and the degrees are checked as by :func:`deflated_laplacians`,
+    whose blocks are built in the same layout.
+    """
+
+    def add(lap, w):
         for k, (i, j) in enumerate(topology.edges):
             wk = w[:, k]
             lap[i, i] += wk
             lap[j, j] += wk
             lap[i, j] -= wk
             lap[j, i] -= wk
-    overflow = np.isinf(lap.diagonal(axis1=0, axis2=1))  # (batch, n)
-    if overflow.any():
-        k, v = np.argwhere(overflow)[0]
-        raise ValueError(f"degree of vertex {v} in row {k} overflows the float range")
-    return lap.transpose(2, 0, 1)
+
+    v = np.arange(topology.order)
+    return _checked_stack(topology, weight_rows, topology.order, add, (v, v), "degree of vertex {i}")
+
+
+#: the rows of the Hadamard matrix H4: H4 / 2 is orthonormal, its first row along (1, 1, 1, 1)
+_H4 = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
+
+
+def _deflated_sums(edges) -> dict:
+    """Each upper entry (a, b) of a deflated block and its terms (k, sign), in edge order.
+
+    In the basis H4 / 2 an edge (i, j) of weight w adds w s s^T, where s_a =
+    (H4[a, i] - H4[a, j]) / 2 is -1, 0 or 1; the first row's s is 0.
+    """
+    s = [[(h[i] - h[j]) // 2 for i, j in edges] for h in _H4[1:]]
+    return {
+        (a, b): tuple((k, s[a][k] * s[b][k]) for k in range(len(edges)) if s[a][k] * s[b][k])
+        for a in range(3)
+        for b in range(a, 3)
+    }
+
+
+_DEFLATED_SUMS = {kind: _deflated_sums(edges) for kind, edges in _EDGE_LISTS.items()}
+_UPPER3 = np.triu_indices(3)  # the keys of each _DEFLATED_SUMS table, in their order
+
+
+def deflated_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarray:
+    """The ``(batch, 3, 3)`` lower blocks of the four-vertex Laplacians in the basis H4 / 2.
+
+    Every four-vertex Laplacian L has the null vector (1, 1, 1, 1), the first
+    row of H4, so (H4 / 2) L (H4 / 2)^T is 0 but for its lower 3x3 block,
+    whose eigenvalues are L's other three.  Each entry is a signed sum of
+    weights, added in edge order, so every call gives the same bits; only the
+    upper triangle is filled.  The weights are checked as by
+    :func:`build_laplacians`, and an entry past the float range raises.
+    """
+    if topology.kind not in _DEFLATED_SUMS:
+        raise ValueError(f"deflated_laplacians applies to the four-vertex topologies, got {topology.kind!r}")
+    sums = _DEFLATED_SUMS[topology.kind]
+
+    def add(block, w):
+        for (a, b), terms in sums.items():
+            entry = block[a, b]
+            for k, sign in terms:
+                (np.add if sign > 0 else np.subtract)(entry, w[:, k], out=entry)
+
+    return _checked_stack(topology, weight_rows, 3, add, _UPPER3, "entry [{i}, {j}] of the deflated block")
 
 
 def scale_weights(weights, factor: float) -> np.ndarray:

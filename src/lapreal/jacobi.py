@@ -7,7 +7,8 @@ Frobenius norm, the convergence scale, cannot overflow or underflow.  A step
 is the symmetric update (Rutishauser 1966): a pair's diagonal moves by -+t a_pq
 and a_pq becomes 0; each 2x2 block between pairs i < j is rotated once, rows
 by pair i, then columns by pair j; at odd n the unpaired index's entries get
-each pair's columns.  A block entry (r, c) is read and written at its
+each pair's columns.  At n <= 3 there is one pair and no block, so a step
+rotates no block.  A block entry (r, c) is read and written at its
 upper-triangle index, the same value by symmetry, so the sweep reads and
 writes the upper triangle only, each entry once per step.
 
@@ -203,9 +204,10 @@ def _sweep_stack(u: np.ndarray, n: int, norms: np.ndarray, max_sweeps: int) -> n
                 s = np.multiply(t, c, out=t)
                 # p becomes c p - s q and q becomes s p + c q: each block's rows by
                 # its pair i, then its columns by its pair j, then the odd index's
-                h = u[block].reshape(blocks, 2, 2, batch)
-                _rotate(h[:, 0], h[:, 1], c[rows, None], s[rows, None])
-                _rotate(h[:, :, 0], h[:, :, 1], c[cols, None], s[cols, None])
+                if blocks:
+                    h = u[block].reshape(blocks, 2, 2, batch)
+                    _rotate(h[:, 0], h[:, 1], c[rows, None], s[rows, None])
+                    _rotate(h[:, :, 0], h[:, :, 1], c[cols, None], s[cols, None])
                 if n % 2:
                     g = u[odd].reshape(pairs, 2, batch)
                     _rotate(g[:, 0], g[:, 1], c, s)

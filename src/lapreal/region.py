@@ -19,6 +19,7 @@ import contextlib
 import math
 import operator
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,10 +279,10 @@ def write_svg(grid: RegionGrid, path: str) -> None:
 def _held_open(paths: list[str]):
     """Hold every path open for writing, truncating none, while the body runs.
 
-    When a path cannot be opened, the files this call created are removed
-    and the error is raised before the body runs, so no file is changed or
-    left behind.  Held open, a pipe's reader sees no end of file between
-    the writes of the body.
+    When a path cannot be opened, or the two paths name one regular file,
+    the files this call created are removed and the error is raised before
+    the body runs, so no file is changed or left behind.  Held open, a
+    pipe's reader sees no end of file between the writes of the body.
     """
     fds, created = [], []
     try:
@@ -292,7 +293,11 @@ def _held_open(paths: list[str]):
                     created.append(path)
                 except FileExistsError:
                     fds.append(os.open(path, os.O_WRONLY))
-        except OSError:
+            stats = [os.fstat(fd) for fd in fds]
+            # the second writer would overwrite the first; a device such as /dev/null takes both
+            if len(stats) == 2 and stat.S_ISREG(stats[0].st_mode) and os.path.samestat(*stats):
+                raise ValueError(f"{paths[0]!r} and {paths[1]!r} name the same file")
+        except (OSError, ValueError):
             for path in created:
                 os.remove(path)
             raise
@@ -311,7 +316,7 @@ def render_region(
     """Evaluate the grid and emit the requested files.
 
     Both files are opened before either is written, so a path that cannot be
-    opened leaves every file as it was.
+    opened, or two paths that name one file, leave every file as it was.
     """
     grid = evaluate_grid(resolution, normalization)
     with _held_open([path for path in (csv_path, svg_path) if path]):

@@ -249,6 +249,25 @@ class TestRegion:
         if existing:
             assert (tmp_path / good).read_bytes() == b"kept\n"
 
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("svg", ["g", "./g"])
+    def test_one_file_for_both_outputs_is_refused(self, capsys, tmp_path, monkeypatch, existing, svg):
+        # used to exit 0 and print csv=g and svg=g, leaving the SVG alone in g
+        monkeypatch.chdir(tmp_path)
+        if existing:
+            (tmp_path / "g").write_bytes(b"kept\n")
+        code, out, err = run(capsys, "region", "--resolution", "3", "--out", "g", "--svg", svg)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == f"error: 'g' and '{svg}' name the same file"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["g"] if existing else [])
+        if existing:
+            assert (tmp_path / "g").read_bytes() == b"kept\n"
+
+    def test_one_device_takes_both_outputs(self, capsys):
+        code, out, _ = run(capsys, "region", "--resolution", "3", "--out", "/dev/null", "--svg", "/dev/null")
+        assert code == 0
+        assert "csv=/dev/null" in out and "svg=/dev/null" in out
+
     def test_overwrites_longer_files(self, capsys, tmp_path):
         fresh = {name: tmp_path / f"fresh.{name}" for name in ("csv", "svg")}
         old = {name: tmp_path / f"old.{name}" for name in ("csv", "svg")}

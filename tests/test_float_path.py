@@ -160,10 +160,11 @@ def test_reduced_cubic_rejects_non_finite_weights(wrap, bad):
 CUBIC_ROOTS_DIGEST = "ea1be464990b1f53d2defcc5765ffd75b5f4eeff8198cb31b5dc22b42f32c00a"
 
 #: sha256 of the RoundtripReport lines of roundtrip_reports(), written at commit 88ac83a
-#: and re-pinned when the Jacobi step became the symmetric two-sided update, and when
-#: the cubic became one outlier root plus a deflated pair; both moved only
-#: max_residual fields (CHANGES.md lists them)
-ROUNDTRIP_DIGEST = "a88fa46a80f56127fd25660f1183bb7d8747b086c07930cde313bf073bd0a68c"
+#: and re-pinned when the Jacobi step became the symmetric two-sided update, when
+#: the cubic became one outlier root plus a deflated pair, and when the roundtrip
+#: began to verify on the deflated 3x3 block; each moved only max_residual fields
+#: (CHANGES.md lists them)
+ROUNDTRIP_DIGEST = "aa8b4166c48be067e0fb5dda9286586f7e4e2333b735736fc99e8b0fc85eeebd"
 
 
 def cubic_inputs():

@@ -1,6 +1,7 @@
 """Topology definitions and Laplacian construction."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,10 +17,12 @@ from lapreal.graphs import (
     build_laplacian,
     build_laplacians,
     complete,
+    deflated_laplacians,
     float_weights,
     scale_weights,
     unit_scaled,
 )
+from lapreal.jacobi import jacobi_spectra
 
 ALL_FOUR = list(map(Topology, FOUR_VERTEX_KINDS))
 
@@ -178,6 +181,96 @@ class TestLaplacianRows:
         # in matrix 0 at [0, 0]", an entry that is no weight
         with pytest.raises(ValueError, match=rf"^degree of vertex {vertex} overflows the float range$"):
             build_laplacian(topo, weights)
+
+
+#: the Hadamard matrix whose rows over 2 are the basis of the deflated block
+H4 = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
+
+
+class TestDeflatedLaplacians:
+    @staticmethod
+    def weights(topo, rows=300, seed=17):
+        rng = np.random.default_rng([seed, FOUR_VERTEX_KINDS.index(topo.kind)])
+        w = rng.uniform(0.0, 4.0, (rows, topo.edge_count))
+        w[rng.random(w.shape) < 0.2] = 0.0
+        return w
+
+    @pytest.mark.parametrize("topo", ALL_FOUR)
+    def test_spectra_are_the_laplacians_nonzero_three(self, topo):
+        w = self.weights(topo)
+        got = jacobi_spectra(deflated_laplacians(topo, w))
+        want = np.linalg.eigvalsh(build_laplacians(topo, w))[:, 1:]
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= 1e-12 * want[:, -1:]).all()
+
+    @pytest.mark.parametrize("topo", ALL_FOUR)
+    def test_integer_weights_give_the_exact_block(self, topo):
+        rng = np.random.default_rng(FOUR_VERTEX_KINDS.index(topo.kind))
+        w = rng.integers(0, 1000, (200, topo.edge_count)).astype(float)
+        block = deflated_laplacians(topo, w)
+        full = (H4 @ build_laplacians(topo, w) @ H4.T) / 4
+        assert not full[:, 0].any() and not full[:, :, 0].any()
+        # the upper triangle only is filled
+        np.testing.assert_array_equal(block, np.triu(full[:, 1:, 1:]))
+
+    @pytest.mark.parametrize("topo", ALL_FOUR)
+    def test_trace_and_norm_are_the_laplacians(self, topo):
+        w = self.weights(topo)
+        block = deflated_laplacians(topo, w)
+        np.testing.assert_allclose(np.trace(block, axis1=1, axis2=2), 2.0 * w.sum(axis=1), rtol=1e-14)
+        symmetric = block + np.triu(block, 1).transpose(0, 2, 1)
+        np.testing.assert_allclose(
+            np.linalg.norm(symmetric, axis=(1, 2)),
+            np.linalg.norm(build_laplacians(topo, w), axis=(1, 2)),
+            rtol=1e-14,
+        )
+
+    @pytest.mark.parametrize("topo", ALL_FOUR)
+    def test_a_row_gets_its_bits_alone(self, topo):
+        w = self.weights(topo, rows=50)
+        block = deflated_laplacians(topo, w)
+        assert block.dtype == float and block.shape == (50, 3, 3)
+        for row, b in zip(w, block):
+            assert deflated_laplacians(topo, row[None])[0].tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "topo, rows",
+        [
+            (STAR, np.ones((4, 4))),
+            (KITE, np.ones(4)),
+            (CYCLE4, [[1.0, math.nan, 1.0, 1.0]]),
+            (PATH4, [[1.0, 1.0, 1.0], [1.0, math.inf, 1.0]]),
+            (STAR, [[1.0, -math.inf, 1.0]]),
+            (KITE, [[1.0, 1.0, -0.5, 1.0]]),
+        ],
+    )
+    def test_rejects_bad_weights_as_build_laplacians(self, topo, rows):
+        with pytest.raises(ValueError) as built:
+            build_laplacians(topo, rows)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(built.value))}$"):
+            deflated_laplacians(topo, rows)
+
+    @pytest.mark.parametrize(
+        "topo, rows, row, entry",
+        [
+            (STAR, [[1e308] * 3], 0, (0, 0)),
+            (KITE, [[1.0] * 4, [1e308, 1e308, 1.0, 1.0]], 1, (1, 1)),
+            # the degrees are 1e308, but the block's entry [1, 1] is 2e308
+            (CYCLE4, [[1.0] * 4, [1e308, 0.0, 1e308, 0.0]], 1, (1, 1)),
+        ],
+    )
+    def test_overflow_names_row_and_entry(self, topo, rows, row, entry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError,
+                match=rf"^entry \[{entry[0]}, {entry[1]}\] of the deflated block in row {row} overflows the float range$",
+            ):
+                deflated_laplacians(topo, rows)
+
+    def test_rejects_complete_graphs(self):
+        with pytest.raises(ValueError, match="four-vertex"):
+            deflated_laplacians(complete(4), np.ones((2, 6)))
 
 
 class TestScaleWeights:
