@@ -113,14 +113,16 @@ def build_laplacian(topology: Topology, weights) -> np.ndarray:
     return np.array(rows)
 
 
-def _checked_stack(topology: Topology, weight_rows, size: int, add, sums, label: str) -> np.ndarray:
+def _checked_stack(topology: Topology, weight_rows, size: int, add, label: str) -> np.ndarray:
     """The ``(batch, size, size)`` view of a zeroed ``(size, size, batch)`` array filled by ``add(array, w)``.
 
     ``w`` is ``weight_rows`` as a float array, checked before ``add`` runs: a
     shape other than ``(batch, edge_count)``, a NaN, an inf or a negative
-    weight raises.  After it, the entries ``sums`` (index arrays i, j), which
-    add weights, are checked for overflow: the first row that holds an inf,
-    then its first such entry, raises, named by ``label.format(i=i, j=j)``.
+    weight raises.  After it, the diagonal is checked for overflow: the first
+    row that holds an inf, then its first such entry v, raises, named by
+    ``label.format(v=v)``.  The diagonal bounds every entry: in each stack
+    built here, an off-diagonal entry sums, with signs, some of the weights
+    its row's diagonal entry sums, in the same order.
     """
     w = np.asarray(weight_rows, dtype=float)
     if w.ndim != 2 or w.shape[1] != topology.edge_count:
@@ -133,11 +135,10 @@ def _checked_stack(topology: Topology, weight_rows, size: int, add, sums, label:
     stack = np.zeros((size, size, w.shape[0]))
     with np.errstate(over="ignore"):
         add(stack, w)
-    i, j = sums
-    overflow = np.isinf(stack[i, j])  # (len(i), batch)
+    overflow = np.isinf(stack.diagonal(axis1=0, axis2=1))  # (batch, size)
     if overflow.any():
-        k, e = np.argwhere(overflow.T)[0]
-        raise ValueError(f"{label.format(i=i[e], j=j[e])} in row {k} overflows the float range")
+        k, v = np.argwhere(overflow)[0]
+        raise ValueError(f"{label.format(v=v)} in row {k} overflows the float range")
     return stack.transpose(2, 0, 1)
 
 
@@ -159,8 +160,7 @@ def build_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarray:
             lap[i, j] -= wk
             lap[j, i] -= wk
 
-    v = np.arange(topology.order)
-    return _checked_stack(topology, weight_rows, topology.order, add, (v, v), "degree of vertex {i}")
+    return _checked_stack(topology, weight_rows, topology.order, add, "degree of vertex {v}")
 
 
 #: the rows of the Hadamard matrix H4: H4 / 2 is orthonormal, its first row along (1, 1, 1, 1)
@@ -182,7 +182,6 @@ def _deflated_sums(edges) -> dict:
 
 
 _DEFLATED_SUMS = {kind: _deflated_sums(edges) for kind, edges in _EDGE_LISTS.items()}
-_UPPER3 = np.triu_indices(3)  # the keys of each _DEFLATED_SUMS table, in their order
 
 
 def deflated_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarray:
@@ -193,7 +192,8 @@ def deflated_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarr
     whose eigenvalues are L's other three.  Each entry is a signed sum of
     weights, added in edge order, so every call gives the same bits; only the
     upper triangle is filled.  The weights are checked as by
-    :func:`build_laplacians`, and an entry past the float range raises.
+    :func:`build_laplacians`, and a diagonal entry past the float range
+    raises, as a degree does there.
     """
     if topology.kind not in _DEFLATED_SUMS:
         raise ValueError(f"deflated_laplacians applies to the four-vertex topologies, got {topology.kind!r}")
@@ -205,7 +205,7 @@ def deflated_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarr
             for k, sign in terms:
                 (np.add if sign > 0 else np.subtract)(entry, w[:, k], out=entry)
 
-    return _checked_stack(topology, weight_rows, 3, add, _UPPER3, "entry [{i}, {j}] of the deflated block")
+    return _checked_stack(topology, weight_rows, 3, add, "entry [{v}, {v}] of the deflated block")
 
 
 def scale_weights(weights, factor: float) -> np.ndarray:

@@ -108,7 +108,7 @@ def jacobi_spectra(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError(f"expected (batch, n, n) stack, got shape {mats.shape}")
     batch, n = mats.shape[:2]
-    b = mats.transpose(1, 2, 0).copy()  # C-contiguous; a plain copy of a build_laplacians stack
+    b = mats.transpose(1, 2, 0).copy()  # C-contiguous; a plain copy of a stack built by graphs
     big = np.maximum(b.max(axis=(0, 1), initial=0.0), -b.min(axis=(0, 1), initial=0.0))
     if not np.isfinite(big).all():
         k, i, j = np.argwhere(~np.isfinite(mats))[0]

@@ -246,8 +246,8 @@ def roundtrip_suite(topology: Topology, cfg: SamplerConfig) -> RoundtripReport:
     inverted and the resulting weights are verified through the Jacobi
     route on their deflated 3x3 blocks (``graphs.deflated_laplacians``),
     whose eigenvalues are the Laplacian's three beside its exact 0; the
-    route never forms the cubic the inverse solves.  For complete graphs, random tuples in [0, w_max] are realized
-    directly.
+    route never forms the cubic the inverse solves.  For complete graphs,
+    random tuples in [0, w_max] are realized directly.
     """
     if topology.kind == COMPLETE_KIND:
         return _roundtrip_complete(topology, cfg)

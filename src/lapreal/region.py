@@ -316,7 +316,8 @@ def render_region(
     """Evaluate the grid and emit the requested files.
 
     Both files are opened before either is written, so a path that cannot be
-    opened, or two paths that name one file, leave every file as it was.
+    opened, or two paths that name one regular file, leave every file as it
+    was.
     """
     grid = evaluate_grid(resolution, normalization)
     with _held_open([path for path in (csv_path, svg_path) if path]):

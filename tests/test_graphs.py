@@ -1,5 +1,6 @@
 """Topology definitions and Laplacian construction."""
 
+import itertools
 import math
 import re
 import warnings
@@ -267,6 +268,18 @@ class TestDeflatedLaplacians:
                 match=rf"^entry \[{entry[0]}, {entry[1]}\] of the deflated block in row {row} overflows the float range$",
             ):
                 deflated_laplacians(topo, rows)
+
+    @pytest.mark.parametrize("topo", ALL_FOUR)
+    def test_a_block_that_passes_holds_no_inf(self, topo):
+        # only the diagonal is checked: every other entry sums some of its weights
+        values = (0.0, 1.0, 5e307, 1e308, 1.7e308)
+        for row in itertools.product(values, repeat=topo.edge_count):
+            try:
+                block = deflated_laplacians(topo, [row])
+            except ValueError:
+                assert max(row) >= 5e307
+                continue
+            assert np.isfinite(block).all()
 
     def test_rejects_complete_graphs(self):
         with pytest.raises(ValueError, match="four-vertex"):
