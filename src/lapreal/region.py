@@ -130,8 +130,35 @@ _WEIGHTS = np.array([16, 8, 4, 2, 1], dtype=np.uint8)
 _BITS = np.array([",".join(format(code, "05b")) + "\n" for code in range(32)], dtype=object)
 
 
+@contextlib.contextmanager
+def _rewrite(path: str):
+    """Open ``path`` for UTF-8 text with LF endings, overwriting in place, then cut it.
+
+    The file is opened without truncation, and on exit, clean or not, a
+    regular file is cut to the bytes written, so it holds exactly what the
+    body wrote, as after ``open(path, "w")``.  Overwriting an existing file
+    in place spares the filesystem the free-and-reallocate of a truncate on
+    open (on ext4, also the writeback that ``auto_da_alloc`` starts at close
+    for a file truncated and rewritten).  Pipes and devices are not cut.
+    Neither this nor ``open(path, "w")`` is atomic or calls fsync: a crash of
+    the process mid-write can leave the old file's tail after the new bytes.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, fh.tell())
+
+
 def write_csv(grid: RegionGrid, path: str) -> None:
-    """CSV with header x,y,z,star,cycle,path,kite,k4; booleans as 0/1."""
+    """CSV with header x,y,z,star,cycle,path,kite,k4; booleans as 0/1.
+
+    The file is overwritten in place and cut to length (``_rewrite``); if a
+    chunk fails, the file holds the chunks written before it.
+    """
     res = grid.resolution
     # every coordinate is bary * scale, exactly as coords() computes it,
     # so each of the res + 1 distinct values is formatted once
@@ -139,7 +166,7 @@ def write_csv(grid: RegionGrid, path: str) -> None:
     labels = np.array([format(v, ".9g") + "," for v in values], dtype=object)
     codes = grid.masks.view(np.uint8) @ _WEIGHTS
     table = np.empty((CSV_CHUNK, 4), dtype=object)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _rewrite(path) as fh:
         fh.write("x,y,z,star,cycle,path,kite,k4\n")
         for start in range(0, grid.cell_count, CSV_CHUNK):
             rows = table[: min(CSV_CHUNK, grid.cell_count - start)]
@@ -233,7 +260,10 @@ def _panel_elements(grid: RegionGrid, columns: np.ndarray) -> list[list[str]]:
 
 
 def write_svg(grid: RegionGrid, path: str) -> None:
-    """Standalone SVG 1.1 document with one <g> panel per topology."""
+    """Standalone SVG 1.1 document with one <g> panel per topology.
+
+    The file is overwritten in place and cut to length (``_rewrite``).
+    """
     scale = 160.0
     panel_w = 2.4 * scale
     panel_h = 2.2 * scale
@@ -271,13 +301,16 @@ def write_svg(grid: RegionGrid, path: str) -> None:
             f'font-family="sans-serif" font-size="16">{_TITLES.get(name, name)}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _rewrite(path) as fh:
         fh.write("\n".join(parts) + "\n")
 
 
 @contextlib.contextmanager
 def _held_open(paths: list[str]):
     """Hold every path open for writing, truncating none, while the body runs.
+
+    The writers in the body truncate none on open either: each overwrites
+    its file in place and cuts it to length at the end (``_rewrite``).
 
     When a path cannot be opened, or the two paths name one regular file,
     the files this call created are removed and the error is raised before
@@ -317,7 +350,9 @@ def render_region(
 
     Both files are opened before either is written, so a path that cannot be
     opened, or two paths that name one regular file, leave every file as it
-    was.
+    was.  Each file is then overwritten in place and cut to the new length,
+    not truncated first, which is cheaper when a figure is rendered over the
+    last one (``_rewrite``).
     """
     grid = evaluate_grid(resolution, normalization)
     with _held_open([path for path in (csv_path, svg_path) if path]):

@@ -2,9 +2,11 @@
 
 import hashlib
 import io
+import os
 import random
 import re
 import sys
+import threading
 
 import pytest
 
@@ -267,6 +269,21 @@ class TestRegion:
         code, out, _ = run(capsys, "region", "--resolution", "3", "--out", "/dev/null", "--svg", "/dev/null")
         assert code == 0
         assert "csv=/dev/null" in out and "svg=/dev/null" in out
+
+    def test_fifo_output_gets_the_whole_csv(self, capsys, tmp_path):
+        # a FIFO is neither truncated nor cut; its reader sees one end of file
+        fifo = tmp_path / "g.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        argv = ("region", "--resolution", "40", f"--out={fifo}", f"--svg={tmp_path / 'g.svg'}")
+        code, _, err = run(capsys, *argv)
+        reader.join(timeout=60)
+        assert (code, err) == (0, "")
+        fresh = tmp_path / "fresh.csv"
+        assert run(capsys, "region", "--resolution", "40", f"--out={fresh}")[0] == 0
+        assert received == [fresh.read_bytes()]
 
     def test_overwrites_longer_files(self, capsys, tmp_path):
         fresh = {name: tmp_path / f"fresh.{name}" for name in ("csv", "svg")}

@@ -3,12 +3,14 @@
 import hashlib
 import itertools
 import math
+import os
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from lapreal import region
 from lapreal.realizability import MASKS
 from lapreal.region import (
     PANEL_ORDER,
@@ -232,6 +234,63 @@ class TestRenderRegion:
     def test_grid_only(self):
         grid = render_region(5)
         assert grid.cell_count == 21
+
+
+def render_pair(tmp_path, name, res):
+    """Render ``res`` into ``name``.csv and ``name``.svg; return the two paths."""
+    paths = tmp_path / f"{name}.csv", tmp_path / f"{name}.svg"
+    render_region(res, csv_path=str(paths[0]), svg_path=str(paths[1]))
+    return paths
+
+
+class TestRewriteInPlace:
+    @pytest.mark.parametrize("first,second", [(300, 10), (10, 300)], ids=["shrink", "grow"])
+    def test_rerender_matches_fresh_files(self, tmp_path, first, second):
+        render_pair(tmp_path, "g", first)
+        paths = render_pair(tmp_path, "g", second)
+        fresh = render_pair(tmp_path, "fresh", second)
+        for path, want in zip(paths, fresh):
+            assert path.read_bytes() == want.read_bytes()
+            assert path.stat().st_size == want.stat().st_size
+
+    def test_keeps_inode_and_hard_link(self, tmp_path):
+        csv, svg = render_pair(tmp_path, "g", 300)
+        inodes = csv.stat().st_ino, svg.stat().st_ino
+        links = tmp_path / "link.csv", tmp_path / "link.svg"
+        os.link(csv, links[0])
+        os.link(svg, links[1])
+        render_pair(tmp_path, "g", 10)
+        assert (csv.stat().st_ino, svg.stat().st_ino) == inodes
+        fresh = render_pair(tmp_path, "fresh", 10)
+        for link, want in zip(links, fresh):
+            assert link.read_bytes() == want.read_bytes()
+
+    def test_failed_chunk_leaves_only_the_prefix(self, tmp_path, monkeypatch):
+        # over an existing file, a write that stops after the first chunk
+        # must not leave the old file's tail behind the new bytes
+        full = tmp_path / "full.csv"
+        grid = evaluate_grid(300)
+        write_csv(grid, str(full))
+        csv = tmp_path / "g.csv"
+        write_csv(grid, str(csv))
+
+        class FailingSecondGather:
+            def __init__(self, table):
+                self.table, self.calls = table, 0
+
+            def __getitem__(self, key):
+                self.calls += 1
+                if self.calls == 2:
+                    raise RuntimeError("second gather")
+                return self.table[key]
+
+        monkeypatch.setattr(region, "CSV_CHUNK", 1000)
+        monkeypatch.setattr(region, "_BITS", FailingSecondGather(region._BITS))
+        with pytest.raises(RuntimeError, match="second gather"):
+            write_csv(grid, str(csv))
+        data, want = csv.read_bytes(), full.read_bytes()
+        assert data.count(b"\n") == 1 + 1000
+        assert len(data) < len(want) and want.startswith(data)
 
 
 class TestGoldenBytes:
