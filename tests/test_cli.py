@@ -280,6 +280,7 @@ class TestRegion:
         argv = ("region", "--resolution", "40", f"--out={fifo}", f"--svg={tmp_path / 'g.svg'}")
         code, _, err = run(capsys, *argv)
         reader.join(timeout=60)
+        assert not reader.is_alive()
         assert (code, err) == (0, "")
         fresh = tmp_path / "fresh.csv"
         assert run(capsys, "region", "--resolution", "40", f"--out={fresh}")[0] == 0
