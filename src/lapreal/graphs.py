@@ -5,7 +5,9 @@ graphs plus complete graphs K_n.  ``_EDGE_LISTS`` is the one registry of
 the four-vertex kinds: ``FOUR_VERTEX_KINDS`` and ``STAR``...``KITE`` are
 read off it, and every per-kind table (``COEFFS``, ``MASKS``, ``CHECKS``,
 ``INVERTERS``) and kind list (the region panels, the CLI graphs, the
-oracle's streams) follows its order.
+oracle's streams) follows its order.  Both Laplacian stacks are built by
+one signed-edge loop: edge (i, j) of L is the signed edge (i, j, -1), and
+of its block in the basis H4 / 2 the signed edge ``_DEFLATED_EDGES`` names.
 
 Edge-index conventions (vertices are 0-based internally; the docs below
 use the 1-based labels of the figures):
@@ -113,20 +115,20 @@ def build_laplacian(topology: Topology, weights) -> np.ndarray:
     return np.array(rows)
 
 
-def _checked_stack(topology: Topology, weight_rows, size: int, add, label: str) -> np.ndarray:
-    """The ``(batch, size, size)`` view of a zeroed ``(size, size, batch)`` array filled by ``add(array, w)``.
+def _signed_stack(weight_rows, edges, size: int, label: str) -> np.ndarray:
+    """``(batch, size, size)`` Laplacians of the signed graph ``edges``, one per row of weights.
 
-    ``w`` is ``weight_rows`` as a float array, checked before ``add`` runs: a
-    shape other than ``(batch, edge_count)``, a NaN, an inf or a negative
-    weight raises.  After it, the diagonal is checked for overflow: the first
-    row that holds an inf, then its first such entry v, raises, named by
-    ``label.format(v=v)``.  The diagonal bounds every entry: in each stack
-    built here, an off-diagonal entry sums, with signs, some of the weights
-    its row's diagonal entry sums, in the same order.
+    Edge k = (a, b, sign) of weight w adds w to [a, a] and [b, b] and sign * w
+    to [a, b] and [b, a], in edge order, into a zeroed ``(size, size, batch)``
+    array; its transposed view is returned.  First a shape other than
+    ``(batch, len(edges))``, a NaN, an inf or a negative weight raises; then
+    the first row with an inf on the diagonal, at its first such entry v,
+    raises, named by ``label.format(v=v)``.  The diagonal bounds every entry:
+    an off-diagonal sums, with signs, some of the weights its row's diagonal sums.
     """
     w = np.asarray(weight_rows, dtype=float)
-    if w.ndim != 2 or w.shape[1] != topology.edge_count:
-        raise ValueError(f"expected shape (batch, {topology.edge_count}), got {w.shape}")
+    if w.ndim != 2 or w.shape[1] != len(edges):
+        raise ValueError(f"expected shape (batch, {len(edges)}), got {w.shape}")
     finite = np.isfinite(w)
     if not finite.all():
         raise ValueError(f"non-finite edge weight {w[~finite][0]}")
@@ -134,7 +136,14 @@ def _checked_stack(topology: Topology, weight_rows, size: int, add, label: str) 
         raise ValueError("negative edge weight")
     stack = np.zeros((size, size, w.shape[0]))
     with np.errstate(over="ignore"):
-        add(stack, w)
+        for k, (a, b, sign) in enumerate(edges):
+            wk = w[:, k]
+            stack[a, a] += wk
+            stack[b, b] += wk
+            if sign < 0:
+                wk = -wk  # a - w and a + (-w) are the same float
+            stack[a, b] += wk
+            stack[b, a] += wk
     overflow = np.isinf(stack.diagonal(axis1=0, axis2=1))  # (batch, size)
     if overflow.any():
         k, v = np.argwhere(overflow)[0]
@@ -143,45 +152,31 @@ def _checked_stack(topology: Topology, weight_rows, size: int, add, label: str) 
 
 
 def build_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`build_laplacian` for a (batch, edge_count) array.
+    """Vectorized :func:`build_laplacian` for a (batch, edge_count) array: edge (i, j) is (i, j, -1).
 
-    The stack is built as an ``(n, n, batch)`` array, so each entry is a
-    contiguous batch vector, and returned as its ``(batch, n, n)`` transposed
-    view, which ``jacobi_spectra`` takes back to that layout with a plain copy.
-    The weights and the degrees are checked as by :func:`deflated_laplacians`,
-    whose blocks are built in the same layout.
+    The ``(n, n, batch)`` layout keeps each entry a contiguous batch vector, and
+    ``jacobi_spectra`` takes the ``(batch, n, n)`` view back to it with a plain copy.
     """
-
-    def add(lap, w):
-        for k, (i, j) in enumerate(topology.edges):
-            wk = w[:, k]
-            lap[i, i] += wk
-            lap[j, j] += wk
-            lap[i, j] -= wk
-            lap[j, i] -= wk
-
-    return _checked_stack(topology, weight_rows, topology.order, add, "degree of vertex {v}")
+    edges = [(i, j, -1) for i, j in topology.edges]
+    return _signed_stack(weight_rows, edges, topology.order, "degree of vertex {v}")
 
 
 #: the rows of the Hadamard matrix H4: H4 / 2 is orthonormal, its first row along (1, 1, 1, 1)
 _H4 = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
 
 
-def _deflated_sums(edges) -> dict:
-    """Each upper entry (a, b) of a deflated block and its terms (k, sign), in edge order.
+def _deflated_edge(i: int, j: int) -> tuple[int, int, int]:
+    """Edge (i, j) in the basis H4 / 2 as the signed edge (a, b, s_a * s_b) on three vertices.
 
-    In the basis H4 / 2 an edge (i, j) of weight w adds w s s^T, where s_a =
-    (H4[a, i] - H4[a, j]) / 2 is -1, 0 or 1; the first row's s is 0.
+    The edge adds w s s^T, where s_r = (H4[r + 1, i] - H4[r + 1, j]) / 2 is
+    -1, 0 or 1 and is nonzero at exactly two places, a < b.
     """
-    s = [[(h[i] - h[j]) // 2 for i, j in edges] for h in _H4[1:]]
-    return {
-        (a, b): tuple((k, s[a][k] * s[b][k]) for k in range(len(edges)) if s[a][k] * s[b][k])
-        for a in range(3)
-        for b in range(a, 3)
-    }
+    s = [(h[i] - h[j]) // 2 for h in _H4[1:]]
+    a, b = (r for r in range(3) if s[r])
+    return a, b, s[a] * s[b]
 
 
-_DEFLATED_SUMS = {kind: _deflated_sums(edges) for kind, edges in _EDGE_LISTS.items()}
+_DEFLATED_EDGES = {kind: tuple(_deflated_edge(*e) for e in edges) for kind, edges in _EDGE_LISTS.items()}
 
 
 def deflated_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarray:
@@ -189,23 +184,15 @@ def deflated_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarr
 
     Every four-vertex Laplacian L has the null vector (1, 1, 1, 1), the first
     row of H4, so (H4 / 2) L (H4 / 2)^T is 0 but for its lower 3x3 block,
-    whose eigenvalues are L's other three.  Each entry is a signed sum of
-    weights, added in edge order, so every call gives the same bits; only the
-    upper triangle is filled.  The weights are checked as by
-    :func:`build_laplacians`, and a diagonal entry past the float range
-    raises, as a degree does there.
+    whose eigenvalues are L's other three.  The block is the Laplacian of a
+    signed graph on three vertices (``_DEFLATED_EDGES``), built in full by
+    :func:`_signed_stack` as L is; a diagonal entry past the float range raises.
     """
-    if topology.kind not in _DEFLATED_SUMS:
+    if topology.kind not in _DEFLATED_EDGES:
         raise ValueError(f"deflated_laplacians applies to the four-vertex topologies, got {topology.kind!r}")
-    sums = _DEFLATED_SUMS[topology.kind]
-
-    def add(block, w):
-        for (a, b), terms in sums.items():
-            entry = block[a, b]
-            for k, sign in terms:
-                (np.add if sign > 0 else np.subtract)(entry, w[:, k], out=entry)
-
-    return _checked_stack(topology, weight_rows, 3, add, "entry [{v}, {v}] of the deflated block")
+    return _signed_stack(
+        weight_rows, _DEFLATED_EDGES[topology.kind], 3, "entry [{v}, {v}] of the deflated block"
+    )
 
 
 def scale_weights(weights, factor: float) -> np.ndarray:

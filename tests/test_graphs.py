@@ -15,6 +15,7 @@ from lapreal.graphs import (
     PATH4,
     STAR,
     Topology,
+    _deflated_edge,
     build_laplacian,
     build_laplacians,
     complete,
@@ -211,20 +212,43 @@ class TestDeflatedLaplacians:
         block = deflated_laplacians(topo, w)
         full = (H4 @ build_laplacians(topo, w) @ H4.T) / 4
         assert not full[:, 0].any() and not full[:, :, 0].any()
-        # the upper triangle only is filled
-        np.testing.assert_array_equal(block, np.triu(full[:, 1:, 1:]))
+        np.testing.assert_array_equal(block, full[:, 1:, 1:])
 
     @pytest.mark.parametrize("topo", ALL_FOUR)
     def test_trace_and_norm_are_the_laplacians(self, topo):
         w = self.weights(topo)
         block = deflated_laplacians(topo, w)
         np.testing.assert_allclose(np.trace(block, axis1=1, axis2=2), 2.0 * w.sum(axis=1), rtol=1e-14)
-        symmetric = block + np.triu(block, 1).transpose(0, 2, 1)
         np.testing.assert_allclose(
-            np.linalg.norm(symmetric, axis=(1, 2)),
+            np.linalg.norm(block, axis=(1, 2)),
             np.linalg.norm(build_laplacians(topo, w), axis=(1, 2)),
             rtol=1e-14,
         )
+
+    @pytest.mark.parametrize("topo", ALL_FOUR)
+    def test_eigvalsh_reads_the_full_block(self, topo):
+        # the block was an upper triangle, so eigvalsh, which reads the lower
+        # one by default, returned its diagonal: [3, 4, 5] for the star (1, 2, 3)
+        w = np.vstack([[1.0, 2.0, 3.0, 4.0][: topo.edge_count], self.weights(topo)])
+        block = deflated_laplacians(topo, w)
+        assert block.tobytes() == np.ascontiguousarray(block.transpose(0, 2, 1)).tobytes()
+        got = np.linalg.eigvalsh(block)
+        want = np.linalg.eigvalsh(build_laplacians(topo, w))[:, 1:]
+        assert (np.abs(got - want) <= 1e-12 * want[:, -1:]).all()
+
+    def test_the_edges_of_k4_are_the_six_signed_edges(self):
+        k4 = complete(4)
+        triples = []
+        for k, (i, j) in enumerate(k4.edges):
+            a, b, sign = _deflated_edge(i, j)
+            unit = np.eye(6)[k : k + 1]
+            want = np.zeros((3, 3))
+            want[[a, b], [a, b]] = 1.0
+            want[a, b] = want[b, a] = sign
+            got = (H4 @ build_laplacians(k4, unit)[0] @ H4.T)[1:, 1:] / 4
+            np.testing.assert_array_equal(got, want)
+            triples.append((a, b, sign))
+        assert sorted(triples) == [(a, b, s) for a, b in ((0, 1), (0, 2), (1, 2)) for s in (-1, 1)]
 
     @pytest.mark.parametrize("topo", ALL_FOUR)
     def test_a_row_gets_its_bits_alone(self, topo):

@@ -10,14 +10,14 @@ import pytest
 
 import lapreal
 from lapreal.cubic import COEFFS
-from lapreal.graphs import FOUR_VERTEX_KINDS
+from lapreal.graphs import _DEFLATED_EDGES, FOUR_VERTEX_KINDS
 from lapreal.inverse import INVERTERS
 from lapreal.oracle import _KIND_STREAM
 from lapreal.realizability import CHECKS, MASKS
 
 
 def test_every_table_follows_the_registry():
-    for table in (COEFFS, CHECKS, INVERTERS):
+    for table in (COEFFS, CHECKS, INVERTERS, _DEFLATED_EDGES):
         assert tuple(table) == FOUR_VERTEX_KINDS
     assert tuple(kind for kind in MASKS if kind != "complete") == FOUR_VERTEX_KINDS
     # the seeded reports draw from these streams, so this also pins the registry's order
