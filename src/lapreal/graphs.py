@@ -5,9 +5,9 @@ graphs plus complete graphs K_n.  ``_EDGE_LISTS`` is the one registry of
 the four-vertex kinds: ``FOUR_VERTEX_KINDS`` and ``STAR``...``KITE`` are
 read off it, and every per-kind table (``COEFFS``, ``MASKS``, ``CHECKS``,
 ``INVERTERS``) and kind list (the region panels, the CLI graphs, the
-oracle's streams) follows its order.  Both Laplacian stacks are built by
-one signed-edge loop: edge (i, j) of L is the signed edge (i, j, -1), and
-of its block in the basis H4 / 2 the signed edge ``_DEFLATED_EDGES`` names.
+oracle's streams) follows its order.  One signed-edge loop builds both
+Laplacian stacks: an edge (i, j) of L is the signed edge (i, j, -1), and in
+the basis H4 / 2 the signed edge on three vertices in ``_DEFLATED_EDGES``.
 
 Edge-index conventions (vertices are 0-based internally; the docs below
 use the 1-based labels of the figures):

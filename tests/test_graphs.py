@@ -227,8 +227,8 @@ class TestDeflatedLaplacians:
 
     @pytest.mark.parametrize("topo", ALL_FOUR)
     def test_eigvalsh_reads_the_full_block(self, topo):
-        # the block was an upper triangle, so eigvalsh, which reads the lower
-        # one by default, returned its diagonal: [3, 4, 5] for the star (1, 2, 3)
+        # eigvalsh reads the lower triangle by default; from an upper triangle
+        # alone it gives the diagonal, [3, 4, 5] for the star (1, 2, 3)
         w = np.vstack([[1.0, 2.0, 3.0, 4.0][: topo.edge_count], self.weights(topo)])
         block = deflated_laplacians(topo, w)
         assert block.tobytes() == np.ascontiguousarray(block.transpose(0, 2, 1)).tobytes()
