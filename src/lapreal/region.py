@@ -176,8 +176,8 @@ def write_csv(grid: RegionGrid, path: str) -> None:
             fh.write("".join(rows.ravel().tolist()))
 
 
-def _cartesian(i: int, j: int, k: int, res: int) -> tuple[float, float]:
-    # barycentric (x, y, z) -> ((z - x)/(x+y+z), sqrt(3)*y/(x+y+z));
+def _cartesian(i: np.ndarray, j: np.ndarray, k: np.ndarray, res: int) -> tuple[np.ndarray, np.ndarray]:
+    # barycentric (x, y, z) -> ((z - x)/(x+y+z), sqrt(3)*y/(x+y+z)), elementwise;
     # vertices map to (-1, 0), (0, sqrt(3)), (1, 0)
     return (k - i) / res, SQRT3 * j / res
 
@@ -233,29 +233,17 @@ def _panel_elements(grid: RegionGrid, columns: np.ndarray) -> list[list[str]]:
     # runs come panel by panel, so each panel's rects are one slice
     ends = np.cumsum([row.size for row, _, _ in runs]).tolist()
     panels = [rects[start:stop] for start, stop in zip([0] + ends, ends)]
-    # black overlay: realizable points with some zero coordinate
+    # black overlay: realizable points with some zero coordinate.  Point t of
+    # each edge permutes (0, t, res - t), so every edge has lattice row 0's runs
     stroke = f"{1.8 * cell:.6f}"
-    # lattice point (i, j) at position t along each edge
-    edge_points = (
-        lambda t: (t, 0),  # bottom edge, y = 0
-        lambda t: (0, t),  # left edge, x = 0
-        lambda t: (res - t, t),  # right edge, z = 0
-    )
-    # by symmetry the bottom and the left edge both have lattice row 0's
-    # flags, and the right edge the flags of each row's last point
-    row0 = columns[:n].T
-    edge_flags = np.stack([row0, row0, columns[np.append(first[1:], len(columns)) - 1].T], axis=1)
-    edge_runs = _runs(edge_flags.ravel(), np.arange(0, edge_flags.size, n))
-    for row, a, b in np.column_stack(edge_runs).tolist():
-        p, edge = divmod(row, len(edge_points))
-        i0, j0 = edge_points[edge](a)
-        i1, j1 = edge_points[edge](b)
-        x0, y0 = _cartesian(i0, j0, res - i0 - j0, res)
-        x1, y1 = _cartesian(i1, j1, res - i1 - j1, res)
-        panels[p].append(
-            f'<line x1="{x0:.6f}" y1="{y0:.6f}" x2="{x1:.6f}" y2="{y1:.6f}" '
-            f'stroke="{BLACK}" stroke-width="{stroke}" stroke-linecap="round"/>'
-        )
+    for panel, (row, a, b) in zip(panels, runs):
+        t = np.stack([a[row == 0], b[row == 0]])  # first and last t of each run
+        for i, j in ((t, 0 * t), (0 * t, t), (res - t, t)):  # bottom, left, right edge
+            panel.extend(
+                f'<line x1="{x0:.6f}" y1="{y0:.6f}" x2="{x1:.6f}" y2="{y1:.6f}" '
+                f'stroke="{BLACK}" stroke-width="{stroke}" stroke-linecap="round"/>'
+                for x0, x1, y0, y1 in zip(*np.vstack(_cartesian(i, j, res - i - j, res)).tolist())
+            )
     return panels
 
 

@@ -14,6 +14,7 @@ from lapreal import region
 from lapreal.realizability import MASKS
 from lapreal.region import (
     PANEL_ORDER,
+    _cartesian,
     _panel_elements,
     _row_starts,
     _runs,
@@ -386,10 +387,39 @@ class TestRunDetection:
         assert [r.split('"')[1] for r in rects] == ["0.500000", "-1.166667"]
 
     def test_panels_drawn_together_match_each_alone(self):
-        # all panels share one width table and one edge run search; each must get
+        # all panels share one width table and one run search; each must get
         # exactly the elements it gets when drawn on its own
         grid = evaluate_grid(17)
         together = _panel_elements(grid, grid.masks)
         alone = [_panel_elements(grid, grid.masks[:, [p]])[0] for p in range(len(PANEL_ORDER))]
         assert together == alone
         assert all(together)
+
+
+LINE = re.compile(r'<line x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)" ')
+
+
+class TestEdgeOverlay:
+    def test_lines_are_the_runs_of_each_edge(self):
+        # the overlay is drawn from lattice row 0's runs alone; point by point,
+        # each edge's own lattice points must give the same segments
+        for res in range(2, 41):
+            grid = evaluate_grid(res)
+            index = {point: t for t, point in enumerate(map(tuple, grid.bary.tolist()))}
+            edges = (
+                [(t, 0, res - t) for t in range(res + 1)],  # bottom, y = 0
+                [(0, t, res - t) for t in range(res + 1)],  # left, x = 0
+                [(res - t, t, 0) for t in range(res + 1)],  # right, z = 0
+            )
+            for p, parts in enumerate(_panel_elements(grid, grid.masks)):
+                want = []
+                for points in edges:
+                    flags = [bool(grid.masks[index[point], p]) for point in points]
+                    for _, a, b in reference_runs([flags]):
+                        ends = [_cartesian(*map(np.int64, points[t]), res) for t in (a, b)]
+                        want.append([float(v) for end in ends for v in end])
+                got = [[float(v) for v in LINE.match(e).groups()] for e in parts if e.startswith("<line")]
+                assert len(got) == len(want), (res, PANEL_ORDER[p])
+                np.testing.assert_allclose(
+                    np.reshape(got, (-1, 4)), np.reshape(want, (-1, 4)), rtol=0, atol=1e-6
+                )
