@@ -416,7 +416,7 @@ class TestEdgeOverlay:
                 for points in edges:
                     flags = [bool(grid.masks[index[point], p]) for point in points]
                     for _, a, b in reference_runs([flags]):
-                        ends = [_cartesian(*map(np.int64, points[t]), res) for t in (a, b)]
+                        ends = [_cartesian(*points[t], res) for t in (a, b)]
                         want.append([float(v) for end in ends for v in end])
                 got = [[float(v) for v in LINE.match(e).groups()] for e in parts if e.startswith("<line")]
                 assert len(got) == len(want), (res, PANEL_ORDER[p])
