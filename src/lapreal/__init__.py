@@ -7,17 +7,19 @@ four-vertex topologies (star, cycle, path, kite, K4) and complete graphs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .cubic import (
     CubicCoeffs,
     NoThreeRealRoots,
-    _spectrum_roots,
     laplacian_cubic_roots,
     reduced_cubic,
     solve_cubic_real,
 )
 from .graphs import (
+    COMPLETE_KIND,
     CYCLE4,
     KITE,
     PATH4,
@@ -27,6 +29,7 @@ from .graphs import (
     complete,
     float_weights,
     scale_weights,
+    unit_scaled,
 )
 from .inverse import (
     InternalInfeasible,
@@ -109,12 +112,13 @@ def forward_spectrum(topology: Topology, weights) -> np.ndarray:
     ``graphs.unit_scaled``'s rule.  On K_n an eigenvalue within
     ``OFFDIAG_TOL`` of the largest magnitude is returned as an exact 0.0.
     """
-    if topology.kind == "complete":
+    if topology.kind == COMPLETE_KIND:
         spec = spectrum_numeric(build_laplacian(topology, weights))
         return np.where(np.abs(spec) <= OFFDIAG_TOL * np.abs(spec).max(), 0.0, spec)
     w = float_weights(topology, weights)
+    scaled, e = unit_scaled(w)
     try:
-        roots = _spectrum_roots(topology.kind, w)
+        roots = [math.ldexp(r, e) for r in laplacian_cubic_roots(reduced_cubic(topology, scaled))]
     except OverflowError:
         raise ValueError(f"spectrum of {topology.kind} weights {w} overflows the float range") from None
     return np.sort(np.concatenate(([0.0], roots)))

@@ -9,10 +9,10 @@ iterative eigensolver remains an independent cross-check.
 One algorithm finds the roots: the root of largest magnitude of the
 depressed cubic, taken where nothing cancels, one guarded Newton step, and
 the other two roots from the deflated quadratic; no close pair is re-solved.
-The scalar kernel ``_roots`` runs it on Python floats, and its wrappers
-``solve_cubic_real`` (three roots), ``laplacian_cubic_roots`` (three roots,
-near-zero roundoff clamped) and ``cubic_real_roots`` (one or three roots as
-found) only unpack their arguments.  ``solve_cubic_real_batch`` runs it on
+The scalar kernel ``_roots`` runs it on Python floats; ``solve_cubic_real``
+(three roots) and ``cubic_real_roots`` (one or three) unpack its arguments,
+and ``laplacian_cubic_roots`` clamps ``solve_cubic_real``'s roundoff below
+zero, the one ``ZERO_CLAMP`` rule.  ``solve_cubic_real_batch`` runs it on
 numpy arrays; the two share the depressed form, ``_depressed``.
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Topology, float_weights, unit_scaled
+from .graphs import Topology, float_weights
 
 #: relative scale for the negative-discriminant rejection band
 DISC_TOL = 1e-9
@@ -128,7 +128,7 @@ def _depressed(p2, p1, p0):
     return p, q, q * q / 4.0 + p * p * p / 27.0, -p2 / 3.0
 
 
-def _roots(p2, p1, p0, three=True, clamp=True):
+def _roots(p2, p1, p0, three=True):
     """The scalar kernel: real roots of the monic cubic on floats, ascending.
 
     First the root r of largest magnitude in the depressed form t^3 + p*t + q:
@@ -140,9 +140,10 @@ def _roots(p2, p1, p0, three=True, clamp=True):
     the same at every scale, as f'(r) is homogeneous of degree 2; the other
     two roots solve the deflated quadratic u^2 - sigma*u + prod, the larger
     by magnitude first and the smaller as prod over it.  With ``three``, a
-    discriminant below the roundoff band raises :class:`NoThreeRealRoots`
-    and a lone real root inside the band comes with the double root
-    sigma/2; with ``clamp`` too, roots in (-ZERO_CLAMP, 0) come back as 0.
+    discriminant below the roundoff band raises :class:`NoThreeRealRoots`,
+    a lone real root inside the band comes with the double root sigma/2,
+    and the roots come back as a tuple; without it, as a list.  No root is
+    clamped: ``laplacian_cubic_roots`` applies ``ZERO_CLAMP``.
     """
     if three:
         disc = cubic_discriminant(p2, p1, p0)
@@ -176,22 +177,7 @@ def _roots(p2, p1, p0, three=True, clamp=True):
         r1, r2, r3 = lo, hi, r
     else:
         r1, r2, r3 = lo, r, hi
-    if not three:
-        return [r1, r2, r3]
-    if clamp:
-        return (
-            0.0 if -ZERO_CLAMP < r1 < 0.0 else r1,
-            0.0 if -ZERO_CLAMP < r2 < 0.0 else r2,
-            0.0 if -ZERO_CLAMP < r3 < 0.0 else r3,
-        )
-    return r1, r2, r3
-
-
-def _spectrum_roots(kind: str, w) -> tuple[float, float, float]:
-    """Ascending Laplacian cubic roots of float weights ``w`` on ``kind``, via ``unit_scaled``."""
-    w, e = unit_scaled(w)
-    roots = _roots(*COEFFS[kind](*w))
-    return tuple(math.ldexp(r, e) for r in roots) if e else roots
+    return (r1, r2, r3) if three else [r1, r2, r3]
 
 
 def cubic_real_roots(p2: float, p1: float, p0: float) -> list[float]:
@@ -205,12 +191,12 @@ def solve_cubic_real(coeffs: CubicCoeffs) -> tuple[float, float, float]:
     Raises :class:`NoThreeRealRoots` when the discriminant is negative
     beyond the roundoff band.
     """
-    return _roots(coeffs.p2, coeffs.p1, coeffs.p0, clamp=False)
+    return _roots(coeffs.p2, coeffs.p1, coeffs.p0)
 
 
 def laplacian_cubic_roots(coeffs: CubicCoeffs) -> tuple[float, float, float]:
-    """Roots of a Laplacian cubic, with near-zero roundoff clamped to 0."""
-    return _roots(coeffs.p2, coeffs.p1, coeffs.p0)
+    """Roots of a Laplacian cubic, with roots in (-ZERO_CLAMP, 0) clamped to 0."""
+    return tuple(0.0 if -ZERO_CLAMP < r < 0.0 else r for r in solve_cubic_real(coeffs))
 
 
 def solve_cubic_real_batch(p2, p1, p0) -> np.ndarray:

@@ -142,7 +142,7 @@ def _star_weights(triple) -> tuple[float, ...]:
     total = x + y + z
     p2, p1, p0 = -0.5 * total, (x * y + x * z + y * z) / 3.0, -0.25 * x * y * z
     try:
-        roots = _roots(p2, p1, p0, clamp=False)
+        roots = _roots(p2, p1, p0)
     except NoThreeRealRoots:
         disc = cubic_discriminant(p2, p1, p0)
         cert = Certificate("star-length-cubic", disc, "length cubic has complex roots")
