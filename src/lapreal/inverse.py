@@ -7,10 +7,12 @@ nonnegative tuple on a complete graph through repeated suspensions.
 
 ``_inverter`` builds each four-vertex solver of ``INVERTERS``, from which
 ``invert_star``...``invert_kite`` are unpacked: it validates and scales the
-target as ``check_*`` does and lets the topology's mask decide on the same
-floats, so a check and an invert cannot disagree.  A solution's ``residual``
-and a rejection's ``certificate`` are computed when first read, then cached.
-The residual has one route for every graph, LAPACK's spectrum of the weights'
+target as ``check_*`` does (a sum in [UNIT_LOW, UNIT_HIGH] leaves the
+target as given, ``unit_scaled`` scales the others) and lets the
+topology's mask decide on the same floats, so a check and an invert
+cannot disagree.  A solution's ``residual`` and a rejection's
+``certificate`` are computed when first read, then cached.  The residual
+has one route for every graph, LAPACK's spectrum of the weights'
 Laplacian, so it moves no more than the weights do (Weyl's inequality).
 """
 

@@ -45,10 +45,16 @@ class SamplerConfig:
         # numpy's own message for a negative seed names neither it nor its value
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.samples, numbers.Integral):
+            raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if not math.isfinite(self.w_max):
+            raise ValueError(f"w_max must be finite, got {self.w_max}")
         if self.w_max <= 0:
             raise ValueError(f"w_max must be positive, got {self.w_max}")
+        if not isinstance(self.grid_resolution, numbers.Integral):
+            raise ValueError(f"grid_resolution must be an integer, got {self.grid_resolution!r}")
         if self.grid_resolution < 2:
             raise ValueError(f"grid_resolution must be >= 2, got {self.grid_resolution}")
 

@@ -5,6 +5,9 @@ the nonzero part of the Laplacian spectrum of some nonnegative weighting.
 All criteria are homogeneous, so a check decides on the triple scaled by
 ``graphs.unit_scaled``; a boundary tolerance (scaled by the matching power
 of the sum) keeps forward-computed spectra on a region boundary inside.
+The check tests the triple's sum first: a sum in [UNIT_LOW, UNIT_HIGH]
+leaves the triple as given, even one whose largest entry ``unit_scaled``
+would scale, such as ``(2**-61,) * 3``.
 
 The ``*_mask`` functions are written with operators only, so each
 formula serves Python floats and numpy arrays alike: the scalar checks

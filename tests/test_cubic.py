@@ -1,6 +1,7 @@
 """Closed-form cubics and the three-real-root solver."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -259,6 +260,22 @@ class TestForwardSpectrumScale:
                 roots = laplacian_cubic_roots(reduced_cubic(topo, w))
                 want = np.sort(np.concatenate(([0.0], roots)))
                 assert np.array_equal(forward_spectrum(topo, w), want)
+
+    @pytest.mark.parametrize("topo", FOUR)
+    @pytest.mark.parametrize("k", [-400, -61, 61, 400])
+    def test_power_of_two_scale_keeps_the_bits(self, topo, k):
+        # 2**k * w is solved at w itself, its unit_scaled form, and its
+        # roots are ldexp'd back: the spectrum is exactly 2**k times w's
+        rng = np.random.default_rng([13, topo.edge_count, k + 500])
+        for w in rng.uniform(0.0, 0.75, (200, topo.edge_count)):
+            w[np.argmax(w)] = 0.75
+            got = forward_spectrum(topo, np.ldexp(w, k))
+            assert got.tobytes() == np.ldexp(forward_spectrum(topo, w), k).tobytes()
+
+    def test_overflowing_spectrum_rejected(self):
+        message = "spectrum of star weights (1e+308, 1e+308, 1e+308) overflows the float range"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            forward_spectrum(STAR, [1e308] * 3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weight_rejected(self, bad):

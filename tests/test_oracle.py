@@ -1,5 +1,6 @@
 """Randomized verification oracles (smaller sample sizes than acceptance)."""
 
+import math
 import re
 import tracemalloc
 
@@ -34,12 +35,38 @@ FOUR = list(map(Topology, FOUR_VERTEX_KINDS))
 
 class TestSamplerConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(seed=1, samples=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(seed=1, samples=10, w_max=0.0)
-        with pytest.raises(ValueError):
-            SamplerConfig(seed=1, samples=10, grid_resolution=1)
+        # `lapreal frac --samples 0` prints the first of these messages
+        for kwargs, message in (
+            ({"samples": 0}, "samples must be >= 1, got 0"),
+            ({"samples": 10, "w_max": 0.0}, "w_max must be positive, got 0.0"),
+            ({"samples": 10, "grid_resolution": 1}, "grid_resolution must be >= 2, got 1"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                SamplerConfig(seed=1, **kwargs)
+        # numpy integers are integers, and an int w_max is finite
+        cfg = SamplerConfig(seed=1, samples=np.int64(10), w_max=2, grid_resolution=np.int32(3))
+        assert negative_grid_search(STAR, (1.0, 2.0, 3.0), cfg) >= 0.0
+
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("samples", 2.5, "samples must be an integer, got 2.5"),
+            ("samples", 3.0, "samples must be an integer, got 3.0"),
+            ("samples", "3", "samples must be an integer, got '3'"),
+            ("w_max", math.nan, "w_max must be finite, got nan"),
+            ("w_max", math.inf, "w_max must be finite, got inf"),
+            ("w_max", -math.inf, "w_max must be finite, got -inf"),
+            ("grid_resolution", 2.5, "grid_resolution must be an integer, got 2.5"),
+            ("grid_resolution", 4.0, "grid_resolution must be an integer, got 4.0"),
+        ],
+    )
+    def test_rejects_non_integer_count_and_non_finite_w_max(self, field, bad, message):
+        # each used to be accepted: w_max=nan then failed in numpy's uniform
+        # (OverflowError) or the batch cubic (non-finite p2), and samples=2.5
+        # or grid_resolution=2.5 with a TypeError in range() or linspace()
+        kwargs = {"seed": 1, "samples": 10, field: bad}
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            SamplerConfig(**kwargs)
 
     def test_rejects_bad_seed(self):
         # a negative seed used to fail in numpy's SeedSequence with
