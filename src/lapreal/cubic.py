@@ -12,8 +12,9 @@ the other two roots from the deflated quadratic; no close pair is re-solved.
 The scalar kernel ``_roots`` runs it on Python floats; ``solve_cubic_real``
 (three roots) and ``cubic_real_roots`` (one or three) unpack its arguments,
 and ``laplacian_cubic_roots`` clamps ``solve_cubic_real``'s roundoff below
-zero, the one ``ZERO_CLAMP`` rule.  ``solve_cubic_real_batch`` runs it on
-numpy arrays; the two share the depressed form, ``_depressed``.
+zero, the ``ZERO_CLAMP`` rule.  ``solve_cubic_real_batch`` runs it on numpy
+arrays, sharing ``_depressed``; ``laplacian_cubic_roots_batch``, the batch
+forward route, solves weight rows by it at unit scale and clamps them too.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Topology, float_weights
+from .graphs import Topology, float_weight_rows, float_weights, unit_exponents
 
 #: relative scale for the negative-discriminant rejection band
 DISC_TOL = 1e-9
@@ -245,3 +246,14 @@ def solve_cubic_real_batch(p2, p1, p0) -> np.ndarray:
         small = np.where(real3 & (big != 0.0), prod / big, big)
     lo, hi = np.minimum(big, small), np.maximum(big, small)
     return np.stack((np.minimum(r, lo), np.maximum(lo, np.minimum(r, hi)), np.maximum(r, hi)), axis=1)
+
+
+def laplacian_cubic_roots_batch(topology: Topology, weight_rows) -> tuple[np.ndarray, np.ndarray]:
+    """``(R, e)``: :func:`laplacian_cubic_roots` of each weight row times 2**-e (``unit_exponents``).
+
+    R is ``(batch, 3)`` at unit scale, where the masks hold; the spectrum is ``ldexp(R, e)``.
+    """
+    w = float_weight_rows(topology, weight_rows)
+    e = unit_exponents(w.max(axis=1, initial=0.0))
+    roots = solve_cubic_real_batch(*reduced_cubic_batch(topology, np.ldexp(w, -e[:, None])))
+    return np.where((roots < 0.0) & (roots > -ZERO_CLAMP), 0.0, roots), e

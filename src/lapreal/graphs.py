@@ -95,6 +95,18 @@ def float_weights(topology: Topology, weights) -> tuple[float, ...]:
     return w
 
 
+def float_weight_rows(topology: Topology, weight_rows) -> np.ndarray:
+    """Batch :func:`float_weights`: a ``(batch, edge_count)`` float array; NaN, inf or negative raises."""
+    w = np.asarray(weight_rows, dtype=float)
+    if w.ndim != 2 or w.shape[1] != topology.edge_count:
+        raise ValueError(f"expected shape (batch, {topology.edge_count}), got {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError(f"non-finite edge weight {w[~np.isfinite(w)][0]}")
+    if np.any(w < 0):
+        raise ValueError("negative edge weight")
+    return w
+
+
 def build_laplacian(topology: Topology, weights) -> np.ndarray:
     """Weighted (degree minus adjacency) Laplacian as a dense symmetric array.
 
@@ -115,25 +127,16 @@ def build_laplacian(topology: Topology, weights) -> np.ndarray:
     return np.array(rows)
 
 
-def _signed_stack(weight_rows, edges, size: int, label: str) -> np.ndarray:
-    """``(batch, size, size)`` Laplacians of the signed graph ``edges``, one per row of weights.
+def _signed_stack(w: np.ndarray, edges, size: int, label: str) -> np.ndarray:
+    """``(batch, size, size)`` Laplacians of the signed graph ``edges``, one per row of ``w``.
 
     Edge k = (a, b, sign) of weight w adds w to [a, a] and [b, b] and sign * w
     to [a, b] and [b, a], in edge order, into a zeroed ``(size, size, batch)``
-    array; its transposed view is returned.  First a shape other than
-    ``(batch, len(edges))``, a NaN, an inf or a negative weight raises; then
-    the first row with an inf on the diagonal, at its first such entry v,
-    raises, named by ``label.format(v=v)``.  The diagonal bounds every entry:
-    an off-diagonal sums, with signs, some of the weights its row's diagonal sums.
+    array; its transposed view is returned.  The first row with an inf on the
+    diagonal, at its first such entry v, raises, named by ``label.format(v=v)``.
+    The diagonal bounds every entry: an off-diagonal sums, with signs, some of
+    the weights its row's diagonal sums.
     """
-    w = np.asarray(weight_rows, dtype=float)
-    if w.ndim != 2 or w.shape[1] != len(edges):
-        raise ValueError(f"expected shape (batch, {len(edges)}), got {w.shape}")
-    finite = np.isfinite(w)
-    if not finite.all():
-        raise ValueError(f"non-finite edge weight {w[~finite][0]}")
-    if np.any(w < 0):
-        raise ValueError("negative edge weight")
     stack = np.zeros((size, size, w.shape[0]))
     with np.errstate(over="ignore"):
         for k, (a, b, sign) in enumerate(edges):
@@ -157,8 +160,9 @@ def build_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarray:
     The ``(n, n, batch)`` layout keeps each entry a contiguous batch vector, and
     ``jacobi_spectra`` takes the ``(batch, n, n)`` view back to it with a plain copy.
     """
+    w = float_weight_rows(topology, weight_rows)
     edges = [(i, j, -1) for i, j in topology.edges]
-    return _signed_stack(weight_rows, edges, topology.order, "degree of vertex {v}")
+    return _signed_stack(w, edges, topology.order, "degree of vertex {v}")
 
 
 #: the rows of the Hadamard matrix H4: H4 / 2 is orthonormal, its first row along (1, 1, 1, 1)
@@ -190,9 +194,8 @@ def deflated_laplacians(topology: Topology, weight_rows: np.ndarray) -> np.ndarr
     """
     if topology.kind not in _DEFLATED_EDGES:
         raise ValueError(f"deflated_laplacians applies to the four-vertex topologies, got {topology.kind!r}")
-    return _signed_stack(
-        weight_rows, _DEFLATED_EDGES[topology.kind], 3, "entry [{v}, {v}] of the deflated block"
-    )
+    w = float_weight_rows(topology, weight_rows)
+    return _signed_stack(w, _DEFLATED_EDGES[topology.kind], 3, "entry [{v}, {v}] of the deflated block")
 
 
 def scale_weights(weights, factor: float) -> np.ndarray:
@@ -219,3 +222,8 @@ def unit_scaled(values) -> tuple[tuple[float, ...], int]:
         return values, 0
     e = math.frexp(big)[1]
     return tuple(math.ldexp(v, -e) for v in values), e
+
+
+def unit_exponents(big: np.ndarray) -> np.ndarray:
+    """:func:`unit_scaled`'s e per entry: 0 if 0 or in [UNIT_LOW, UNIT_HIGH], else the frexp exponent."""
+    return np.where((UNIT_LOW <= big) & (big <= UNIT_HIGH), 0, np.frexp(big)[1])

@@ -2,15 +2,15 @@
 
 Independent of the closed-form cubic route; the two are cross-checked in
 the test suite.  Each sweep is n - 1 steps (n for odd n) of n/2 disjoint
-rotations.  A matrix is scaled by ``graphs.unit_scaled``'s rule, so its
-Frobenius norm, the convergence scale, cannot overflow or underflow.  A step
-is the symmetric update (Rutishauser 1966): a pair's diagonal moves by -+t a_pq
-and a_pq becomes 0; each 2x2 block between pairs i < j is rotated once, rows
-by pair i, then columns by pair j; at odd n the unpaired index's entries get
-each pair's columns.  At n <= 3 there is one pair and no block, so a step
-rotates no block.  A block entry (r, c) is read and written at its
-upper-triangle index, the same value by symmetry, so the sweep reads and
-writes the upper triangle only, each entry once per step.
+rotations.  A matrix is scaled by 2**-e, e = ``graphs.unit_exponents`` of
+its largest entry, so its Frobenius norm, the convergence scale, cannot
+overflow or underflow.  A step is the symmetric update (Rutishauser 1966):
+a pair's diagonal moves by -+t a_pq and a_pq becomes 0; each 2x2 block between
+pairs i < j is rotated once, rows by pair i, then columns by pair j; at odd n
+the unpaired index's entries get each pair's columns.  At n <= 3 there is one
+pair and no block, so a step rotates no block.  A block entry (r, c) is read
+and written at its upper-triangle index, the same value by symmetry, so the
+sweep reads and writes the upper triangle only, each entry once per step.
 
 A stack is held as one ``(n(n+1)/2, batch)`` array of its upper triangle, so
 each entry is a contiguous batch vector, with its rows in the current step's
@@ -21,21 +21,20 @@ broadcast over its blocks, and one gather that puts the rows in the next
 step's order.  A matrix leaves the stack at the first convergence test it
 passes, so every matrix of a stack gets the bits it gets in a stack of its own.
 
-One matrix goes to LAPACK instead: ``spectrum_numeric`` scales it by the same
-rule and calls ``np.linalg.eigvalsh`` on its upper triangle.  ``forward_spectrum``
-on K_n and every ``InverseSolution.residual`` call it; the stack sweep stays
-their independent reference in the test suite.
+One matrix goes to LAPACK instead: ``spectrum_numeric`` scales it by
+``unit_scaled``'s e and calls ``np.linalg.eigvalsh`` on its upper triangle.
+``forward_spectrum`` on K_n and every ``InverseSolution.residual`` call it;
+the stack sweep stays their independent reference in the test suite.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import UNIT_HIGH, UNIT_LOW
+from .graphs import unit_exponents, unit_scaled
 
 #: off-diagonal convergence threshold relative to the Frobenius norm
 OFFDIAG_TOL = 1e-12
@@ -113,7 +112,7 @@ def jacobi_spectra(mats: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> np.ndarray
     if not np.isfinite(big).all():
         k, i, j = np.argwhere(~np.isfinite(mats))[0]
         raise ValueError(f"non-finite entry {mats[k, i, j]} in matrix {k} at [{i}, {j}]")
-    e = np.where((UNIT_LOW <= big) & (big <= UNIT_HIGH), 0, np.frexp(big)[1])
+    e = unit_exponents(big)
     scaled = e.any()  # ldexp(x, 0) is x
     if scaled:
         np.ldexp(b, -e, out=b)
@@ -219,11 +218,10 @@ def spectrum_numeric(mat: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of one symmetric matrix: LAPACK's ``eigvalsh`` on its upper triangle.
 
     Only the upper triangle is read, once the matrix passes the symmetry test
-    (to 1e-12 of its largest entry).  It is scaled by ``jacobi_spectra``'s rule
-    for the call and its eigenvalues scaled back, so none over- or underflows
-    on the way.  When the rule's exponent is 0 the matrix goes to LAPACK as it
-    is and nothing is rescaled: its entries are at most 2**60, so no eigenvalue
-    can overflow.
+    (to 1e-12 of its largest entry).  It is scaled by ``unit_scaled``'s 2**-e
+    for the call and its eigenvalues scaled back, so none over- or underflows.
+    At e = 0 it goes to LAPACK as it is: its entries are at most 2**60, so no
+    eigenvalue can overflow.
     """
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -235,7 +233,7 @@ def spectrum_numeric(mat: np.ndarray) -> np.ndarray:
     # the tolerance scales with the largest entry, so it holds at any scale
     if np.abs(m - m.T).max() > 1e-12 * big:
         raise ValueError("matrix is not symmetric")
-    e = 0 if UNIT_LOW <= big <= UNIT_HIGH else math.frexp(big)[1]
+    e = unit_scaled((big,))[1]
     if not e:
         return np.linalg.eigvalsh(m, UPLO="U")
     spec = np.linalg.eigvalsh(np.ldexp(m, -e), UPLO="U")

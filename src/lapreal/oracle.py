@@ -1,10 +1,10 @@
 """Brute-force verification and Monte Carlo region-area estimation.
 
 Everything here is independent of the constructive machinery it checks:
-forward sampling validates the predicates against closed-form spectra,
-grid search certifies non-realizable targets at desk scale, and the
-fraction estimator measures the share of the eigenvalue simplex each
-topology can realize.
+forward sampling validates the predicates against the unit-scale roots of
+``cubic.laplacian_cubic_roots_batch``, grid search rescales the same roots
+to certify non-realizable targets at desk scale, and the fraction estimator
+measures the share of the eigenvalue simplex each topology can realize.
 
 All randomness comes from numpy's PCG64 generator with fixed streams per
 (topology, purpose), so reports are reproducible bit for bit.
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubic import ZERO_CLAMP, reduced_cubic_batch, solve_cubic_real_batch
+from .cubic import laplacian_cubic_roots_batch
 from .graphs import COMPLETE_KIND, FOUR_VERTEX_KINDS, Topology, deflated_laplacians
 from .inverse import INVERTERS, InternalInfeasible, NotRealizable, invert_complete
 from .jacobi import jacobi_spectra
@@ -32,6 +32,9 @@ _PURPOSE_STREAM = {"forward": 1, "grid": 2, "fraction": 3, "roundtrip": 4}
 
 #: points ``estimate_region_fraction`` draws and masks at a time
 FRACTION_BLOCK = 1 << 20
+
+#: failing triples a ``ForwardReport`` lists; ``failure_count`` counts them all
+KEPT_FAILURES = 10
 
 
 @dataclass(frozen=True)
@@ -117,23 +120,16 @@ def sample_simplex(rng: np.random.Generator, count: int):
     return lo, hi - lo, 1.0 - hi
 
 
-def forward_triples(topology: Topology, weights: np.ndarray) -> np.ndarray:
-    """Nonzero-slot spectra (batch, 3) via the closed-form cubic route."""
-    p2, p1, p0 = reduced_cubic_batch(topology, weights)
-    roots = solve_cubic_real_batch(p2, p1, p0)
-    return np.where((roots < 0.0) & (roots > -ZERO_CLAMP), 0.0, roots)
-
-
-def sample_forward(topology: Topology, cfg: SamplerConfig, keep_failures: int = 10) -> ForwardReport:
+def sample_forward(topology: Topology, cfg: SamplerConfig) -> ForwardReport:
     """Check that random forward spectra all satisfy the topology's predicate."""
     if topology.kind == COMPLETE_KIND:
         raise ValueError("sample_forward applies to the four-vertex topologies")
     rng = _rng(cfg, topology, "forward")
     weights = rng.uniform(0.0, cfg.w_max, size=(cfg.samples, topology.edge_count))
-    roots = forward_triples(topology, weights)
+    roots, e = laplacian_cubic_roots_batch(topology, weights)
     mask = MASKS[topology.kind](roots[:, 0], roots[:, 1], roots[:, 2])
     bad = np.flatnonzero(~mask)
-    failures = [tuple(roots[i]) for i in bad[:keep_failures]]
+    failures = [tuple(np.ldexp(roots[i], e[i])) for i in bad[:KEPT_FAILURES]]
     return ForwardReport(topology.kind, cfg.seed, cfg.samples, int(bad.size), failures)
 
 
@@ -141,9 +137,9 @@ def negative_grid_search(topology: Topology, target, cfg: SamplerConfig) -> floa
     """Minimum L-infinity distance from a rejected target to any grid spectrum.
 
     Scans the full weight grid {0, h, ..., w_max}^edges, rescales every
-    sampled spectrum to the target's sum (the criteria are homogeneous) and
-    returns the smallest distance found.  A clearly positive floor is a
-    desk-scale certificate of non-realizability.
+    sampled spectrum, at unit scale, to the target's sum (the criteria are
+    homogeneous) and returns the smallest distance found.  A clearly
+    positive floor is a desk-scale certificate of non-realizability.
     """
     if topology.kind == COMPLETE_KIND:
         raise ValueError("negative_grid_search applies to the four-vertex topologies")
@@ -157,7 +153,7 @@ def negative_grid_search(topology: Topology, target, cfg: SamplerConfig) -> floa
     axis = np.linspace(0.0, cfg.w_max, cfg.grid_resolution + 1)
     mesh = np.meshgrid(*([axis] * topology.edge_count), indexing="ij")
     weights = np.stack([m.ravel() for m in mesh], axis=-1)
-    roots = forward_triples(topology, weights)
+    roots = laplacian_cubic_roots_batch(topology, weights)[0]
     sums = roots.sum(axis=1)
     nearest = np.max(np.abs(want))  # distance from the zero spectrum
     live = sums > 0

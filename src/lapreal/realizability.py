@@ -13,7 +13,10 @@ The ``*_mask`` functions are written with operators only, so each
 formula serves Python floats and numpy arrays alike: the scalar checks
 call them on the validated floats and get a Python ``bool``, while the
 Monte Carlo oracle and the region renderer call them on arrays.  They
-assume finite input; the checks reject NaN and inf before calling them.
+expect finite values at unit scale, as every caller passes them (the checks
+via ``unit_scaled``, region and roundtrip on the unit simplex, the oracle as
+``laplacian_cubic_roots_batch``'s R): the star and path masks form sum**6,
+which overflows above ~1e51 and misjudges below ~1e-54.
 A mask and its check's certificate share one formula: the star product
 and the path's two sides are each written once, in a private helper
 that both call.  ``CHECKS`` holds each kind's check, built by ``_checker``

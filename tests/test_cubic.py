@@ -9,12 +9,14 @@ import pytest
 from lapreal import forward_spectrum
 from lapreal.cubic import (
     COEFFS,
+    ZERO_CLAMP,
     CubicCoeffs,
     NoThreeRealRoots,
     _depressed,
     cubic_discriminant,
     cubic_real_roots,
     laplacian_cubic_roots,
+    laplacian_cubic_roots_batch,
     reduced_cubic,
     reduced_cubic_batch,
     solve_cubic_real,
@@ -171,6 +173,34 @@ class TestBatchSolver:
         p2, p1, p0 = reduced_cubic_batch(STAR, [[1.0, 1.0, 1.0], [bad, 1.0, 1.0]])
         with pytest.raises(ValueError, match="row 1: non-finite coefficient p2"):
             solve_cubic_real_batch(p2, p1, p0)
+
+
+class TestLaplacianCubicRootsBatch:
+    @pytest.mark.parametrize("topo", FOUR)
+    def test_clamps_as_the_scalar_route_does(self, topo):
+        rng = np.random.default_rng([37, topo.edge_count])
+        w = rng.uniform(0.0, 4.0, (300, topo.edge_count))
+        w[rng.random(w.shape) < 0.3] = 0.0
+        roots, e = laplacian_cubic_roots_batch(topo, w)
+        assert not e.any() and roots.min() >= 0.0
+        raw = solve_cubic_real_batch(*reduced_cubic_batch(topo, w))
+        assert np.array_equal(roots, np.where((raw < 0.0) & (raw > -ZERO_CLAMP), 0.0, raw))
+        for row, got in zip(w, roots):
+            np.testing.assert_allclose(got, laplacian_cubic_roots(reduced_cubic(topo, row)), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [((-1.0, 1.0, 1.0), "negative edge weight"), ((np.nan, 1.0, 1.0), "non-finite edge weight nan")],
+    )
+    def test_rejects_bad_weight(self, row, message):
+        # the star's (-1, 1, 1) gave a "spectrum" with -1.56, and a NaN
+        # was reported as "non-finite coefficient p2"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            laplacian_cubic_roots_batch(STAR, [[1.0, 1.0, 1.0], row])
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=re.escape("expected shape (batch, 3), got (4,)")):
+            laplacian_cubic_roots_batch(STAR, [1.0, 1.0, 1.0, 1.0])
 
 
 def scalar_kernel(c):

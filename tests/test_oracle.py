@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lapreal import oracle
+from lapreal.cubic import laplacian_cubic_roots_batch
 from lapreal.graphs import (
     CYCLE4,
     FOUR_VERTEX_KINDS,
@@ -113,6 +114,20 @@ class TestSampleForward:
         with pytest.raises(ValueError):
             sample_forward(complete(4), SamplerConfig(seed=1, samples=10))
 
+    def test_reports_failures_at_their_scale(self, monkeypatch):
+        # a mask that rejects everything: the report lists the first
+        # KEPT_FAILURES rows, as ldexp of the unit-scale roots
+        monkeypatch.setitem(oracle.MASKS, "star", lambda x, y, z: np.zeros(x.shape, dtype=bool))
+        cfg = SamplerConfig(seed=3, samples=50, w_max=1e300)
+        report = sample_forward(STAR, cfg)
+        weights = _rng(cfg, STAR, "forward").uniform(0.0, 1e300, (50, 3))
+        roots, e = laplacian_cubic_roots_batch(STAR, weights)
+        assert report.failure_count == 50
+        assert len(report.failures) == oracle.KEPT_FAILURES
+        for got, r, ek in zip(report.failures, roots, e):
+            assert ek > 900
+            assert got == tuple(np.ldexp(r, ek))
+
 
 class TestNegativeGridSearch:
     def test_cycle_certificate(self):
@@ -124,6 +139,43 @@ class TestNegativeGridSearch:
         cfg = SamplerConfig(seed=1, samples=1, grid_resolution=5)
         with pytest.raises(ValueError):
             negative_grid_search(CYCLE4, (4.0, 2.0, 2.0), cfg)
+
+
+class TestForwardAtAnyScale:
+    """The batch forward route works at unit scale, so no ``w_max`` over- or underflows."""
+
+    @pytest.mark.parametrize("topo", FOUR)
+    @pytest.mark.parametrize("w_max", [1e300, 1e-320])
+    def test_sample_forward_at_extreme_w_max(self, topo, w_max):
+        # at 1e300 this raised "non-finite coefficient p1 = inf"
+        report = sample_forward(topo, SamplerConfig(seed=1, samples=2000, w_max=w_max))
+        assert report.failure_count == 0
+        assert report.failures == []
+
+    def test_grid_search_at_subnormal_w_max(self):
+        # gave 3.0 at 1e-320, from spectra that underflowed to 0
+        def floor(w_max):
+            cfg = SamplerConfig(seed=1, samples=1, w_max=w_max, grid_resolution=2)
+            return negative_grid_search(CYCLE4, (3.0, 3.0, 2.0), cfg)
+
+        assert floor(1e-320) == pytest.approx(floor(4.0), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("topo", FOUR)
+    def test_roots_follow_a_power_of_two(self, topo):
+        rng = np.random.default_rng([31, topo.edge_count])
+        w = rng.uniform(0.0, 4.0, (500, topo.edge_count))
+        w[rng.random(w.shape) < 0.2] = 0.0
+        base, e = laplacian_cubic_roots_batch(topo, w)
+        assert not e.any()
+        # rows whose largest weight is in [0.5, 1) are solved as given at every scale
+        unit = w / np.where(w.max(axis=1) > 0.0, w.max(axis=1) * 1.5, 1.0)[:, None]
+        unit_roots = laplacian_cubic_roots_batch(topo, unit)[0]
+        for k in (-1000, -500, -61, 61, 500, 1000):
+            roots, e = laplacian_cubic_roots_batch(topo, np.ldexp(w, k))
+            want = np.ldexp(base, k)
+            assert np.all(np.abs(np.ldexp(roots, e[:, None]) - want) <= 1e-15 * want[:, 2:])
+            roots, e = laplacian_cubic_roots_batch(topo, np.ldexp(unit, k))
+            assert roots.tobytes() == unit_roots.tobytes()
 
 
 class TestEstimateRegionFraction:

@@ -2,8 +2,12 @@
 
 Every per-kind table follows the registry's order, and the public
 ``check_*`` and ``invert_*`` names are the functions those tables hold.
+Two rules have one home module each, as the source's syntax trees show:
+the scale rule's ``frexp`` lives in ``graphs.py``, ``ZERO_CLAMP`` in ``cubic.py``.
 """
 
+import ast
+import pathlib
 import pickle
 
 import pytest
@@ -37,3 +41,30 @@ def test_public_names_are_the_table_entries(kind, prefix, table):
 def test_every_exported_name_resolves():
     for name in lapreal.__all__:
         assert getattr(lapreal, name) is not None
+
+
+def _spelled(node):
+    """The name a Name, Attribute, import alias or definition node spells, else None."""
+    for field in ("id", "attr", "name"):
+        value = getattr(node, field, None)
+        if isinstance(value, str):
+            return value
+    return None
+
+
+def _rule_homes():
+    """The modules of ``lapreal`` that call a ``frexp``, and those that name ``ZERO_CLAMP``."""
+    frexp, clamp = set(), set()
+    for path in sorted(pathlib.Path(lapreal.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and _spelled(node.func) == "frexp":
+                frexp.add(path.name)
+            if _spelled(node) == "ZERO_CLAMP":
+                clamp.add(path.name)
+    return frexp, clamp
+
+
+def test_each_scale_and_clamp_rule_has_one_home():
+    # the scale rule's exponent lives in graphs (unit_scaled, unit_exponents)
+    # and the zero clamp in cubic (laplacian_cubic_roots and its batch form)
+    assert _rule_homes() == ({"graphs.py"}, {"cubic.py"})
