@@ -101,10 +101,8 @@ def reduced_cubic(topology: Topology, weights) -> CubicCoeffs:
 
 
 def reduced_cubic_batch(topology: Topology, weight_rows: np.ndarray):
-    """Vectorized :func:`reduced_cubic`; returns (p2, p1, p0) arrays."""
-    w = np.asarray(weight_rows, dtype=float)
-    if w.ndim != 2 or w.shape[1] != topology.edge_count:
-        raise ValueError(f"expected shape (batch, {topology.edge_count}), got {w.shape}")
+    """Vectorized :func:`reduced_cubic` of rows checked by ``float_weight_rows``; (p2, p1, p0) arrays."""
+    w = float_weight_rows(topology, weight_rows)
     return _coeffs(topology)(*(w[:, k] for k in range(w.shape[1])))
 
 

@@ -16,6 +16,7 @@ masks on the full lattice give every point of an orbit the same bits
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import operator
 import os
@@ -61,10 +62,6 @@ class RegionGrid:
 
     def column(self, name: str) -> np.ndarray:
         return self.masks[:, PANEL_ORDER.index(name)]
-
-    def coords(self) -> np.ndarray:
-        """Scaled (x, y, z) coordinates of every lattice point."""
-        return self.bary * (self.normalization / self.resolution)
 
 
 def _row_starts(res: int) -> np.ndarray:
@@ -131,42 +128,66 @@ _BITS = np.array([",".join(format(code, "05b")) + "\n" for code in range(32)], d
 
 
 @contextlib.contextmanager
-def _rewrite(path: str):
-    """Open ``path`` for UTF-8 text with LF endings, overwriting in place, then cut it.
+def _outputs(files: list[str | int]):
+    """Hold every output open for writing, truncating none; yield the descriptors.
 
-    The file is opened without truncation, and on exit, clean or not, a
-    regular file is cut to the bytes written, so it holds exactly what the
-    body wrote, as after ``open(path, "w")``.  Overwriting an existing file
-    in place spares the filesystem the free-and-reallocate of a truncate on
-    open (on ext4, also the writeback that ``auto_da_alloc`` starts at close
-    for a file truncated and rewritten).  Pipes and devices are not cut.
-    Neither this nor ``open(path, "w")`` is atomic or calls fsync: a crash of
-    the process mid-write can leave the old file's tail after the new bytes.
+    Each path is opened once, without ``O_TRUNC``; a descriptor (an int) is
+    taken as it is and not closed here.  If a path cannot be opened, or two
+    outputs name one regular file, which the second writer would overwrite
+    (a device such as /dev/null takes both), the files this call created
+    are removed and the error is raised before the body runs.  On exit,
+    clean or not, each regular file is cut at its offset, as
+    ``open(path, "w")`` would leave it; a second cut there does nothing.
+    Overwriting in place spares the filesystem a free and reallocate (on
+    ext4, also the writeback ``auto_da_alloc`` starts at close).  Pipes and
+    devices are not cut, and a pipe's reader sees one end of file.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+    fds, created = [], []
+    try:
         try:
-            yield fh
+            for file in files:
+                if isinstance(file, int):
+                    fds.append(file)
+                    continue
+                try:
+                    fds.append(os.open(file, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                    created.append(file)
+                except FileExistsError:
+                    fds.append(os.open(file, os.O_WRONLY))
+            stats = [os.fstat(fd) for fd in fds]
+            regular = [stat.S_ISREG(st.st_mode) for st in stats]
+            if len(stats) == 2 and regular[0] and os.path.samestat(*stats):
+                raise ValueError(f"{files[0]!r} and {files[1]!r} name the same file")
+        except (OSError, ValueError):
+            for path in created:
+                os.remove(path)
+            raise
+        try:
+            yield fds
         finally:
-            fh.flush()
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, fh.tell())
+            for fd in itertools.compress(fds, regular):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    finally:
+        for fd, file in zip(fds, files):
+            if not isinstance(file, int):
+                os.close(fd)
 
 
-def write_csv(grid: RegionGrid, path: str) -> None:
+def write_csv(grid: RegionGrid, path: str | int) -> None:
     """CSV with header x,y,z,star,cycle,path,kite,k4; booleans as 0/1.
 
-    The file is overwritten in place and cut to length (``_rewrite``); if a
-    chunk fails, the file holds the chunks written before it.
+    ``path`` is a path or a descriptor the caller holds.  The file is
+    overwritten in place and cut to length (``_outputs``); if a chunk fails,
+    the file holds the chunks written before it.
     """
     res = grid.resolution
-    # every coordinate is bary * scale, exactly as coords() computes it,
-    # so each of the res + 1 distinct values is formatted once
+    # every coordinate is bary * normalization / res, so each of the
+    # res + 1 distinct values is formatted once
     values = (np.arange(res + 1) * (grid.normalization / res)).tolist()
     labels = np.array([format(v, ".9g") + "," for v in values], dtype=object)
     codes = grid.masks.view(np.uint8) @ _WEIGHTS
     table = np.empty((CSV_CHUNK, 4), dtype=object)
-    with _rewrite(path) as fh:
+    with _outputs([path]) as (fd,), open(fd, "w", encoding="utf-8", newline="\n", closefd=False) as fh:
         fh.write("x,y,z,star,cycle,path,kite,k4\n")
         for start in range(0, grid.cell_count, CSV_CHUNK):
             rows = table[: min(CSV_CHUNK, grid.cell_count - start)]
@@ -247,10 +268,11 @@ def _panel_elements(grid: RegionGrid, columns: np.ndarray) -> list[list[str]]:
     return panels
 
 
-def write_svg(grid: RegionGrid, path: str) -> None:
+def write_svg(grid: RegionGrid, path: str | int) -> None:
     """Standalone SVG 1.1 document with one <g> panel per topology.
 
-    The file is overwritten in place and cut to length (``_rewrite``).
+    ``path`` is a path or a descriptor the caller holds.  The file is
+    overwritten in place and cut to length (``_outputs``).
     """
     scale = 160.0
     panel_w = 2.4 * scale
@@ -289,43 +311,8 @@ def write_svg(grid: RegionGrid, path: str) -> None:
             f'font-family="sans-serif" font-size="16">{_TITLES.get(name, name)}</text>'
         )
     parts.append("</svg>")
-    with _rewrite(path) as fh:
+    with _outputs([path]) as (fd,), open(fd, "w", encoding="utf-8", newline="\n", closefd=False) as fh:
         fh.write("\n".join(parts) + "\n")
-
-
-@contextlib.contextmanager
-def _held_open(paths: list[str]):
-    """Hold every path open for writing, truncating none, while the body runs.
-
-    The writers in the body truncate none on open either: each overwrites
-    its file in place and cuts it to length at the end (``_rewrite``).
-
-    When a path cannot be opened, or the two paths name one regular file,
-    the files this call created are removed and the error is raised before
-    the body runs, so no file is changed or left behind.  Held open, a
-    pipe's reader sees no end of file between the writes of the body.
-    """
-    fds, created = [], []
-    try:
-        try:
-            for path in paths:
-                try:
-                    fds.append(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-                    created.append(path)
-                except FileExistsError:
-                    fds.append(os.open(path, os.O_WRONLY))
-            stats = [os.fstat(fd) for fd in fds]
-            # the second writer would overwrite the first; a device such as /dev/null takes both
-            if len(stats) == 2 and stat.S_ISREG(stats[0].st_mode) and os.path.samestat(*stats):
-                raise ValueError(f"{paths[0]!r} and {paths[1]!r} name the same file")
-        except (OSError, ValueError):
-            for path in created:
-                os.remove(path)
-            raise
-        yield
-    finally:
-        for fd in fds:
-            os.close(fd)
 
 
 def render_region(
@@ -336,16 +323,14 @@ def render_region(
 ) -> RegionGrid:
     """Evaluate the grid and emit the requested files.
 
-    Both files are opened before either is written, so a path that cannot be
-    opened, or two paths that name one regular file, leave every file as it
-    was.  Each file is then overwritten in place and cut to the new length,
-    not truncated first, which is cheaper when a figure is rendered over the
-    last one (``_rewrite``).
+    ``_outputs`` opens each path once, before either file is written, so a
+    path that cannot be opened, or two paths that name one regular file,
+    leave every file as it was; the writers take the held descriptors.
     """
     grid = evaluate_grid(resolution, normalization)
-    with _held_open([path for path in (csv_path, svg_path) if path]):
+    with _outputs([path for path in (csv_path, svg_path) if path]) as fds:
         if csv_path:
-            write_csv(grid, csv_path)
+            write_csv(grid, fds[0])
         if svg_path:
-            write_svg(grid, svg_path)
+            write_svg(grid, fds[-1])
     return grid

@@ -169,10 +169,9 @@ class TestBatchSolver:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_coefficient(self, bad):
-        # a NaN row used to come back as NaN roots
-        p2, p1, p0 = reduced_cubic_batch(STAR, [[1.0, 1.0, 1.0], [bad, 1.0, 1.0]])
+        # a NaN row used to come back as NaN roots; row 0 is the unit star's cubic
         with pytest.raises(ValueError, match="row 1: non-finite coefficient p2"):
-            solve_cubic_real_batch(p2, p1, p0)
+            solve_cubic_real_batch([-6.0, bad], [9.0, 3.0], [-4.0, -1.0])
 
 
 class TestLaplacianCubicRootsBatch:
@@ -193,10 +192,12 @@ class TestLaplacianCubicRootsBatch:
         [((-1.0, 1.0, 1.0), "negative edge weight"), ((np.nan, 1.0, 1.0), "non-finite edge weight nan")],
     )
     def test_rejects_bad_weight(self, row, message):
-        # the star's (-1, 1, 1) gave a "spectrum" with -1.56, and a NaN
-        # was reported as "non-finite coefficient p2"
-        with pytest.raises(ValueError, match=re.escape(message) + "$"):
-            laplacian_cubic_roots_batch(STAR, [[1.0, 1.0, 1.0], row])
+        # the star's (-1, 1, 1) gave a "spectrum" with -1.56 (and the
+        # coefficients of a cubic that no Laplacian has), and a NaN was
+        # reported as "non-finite coefficient p2"
+        for batch in (laplacian_cubic_roots_batch, reduced_cubic_batch):
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                batch(STAR, [[1.0, 1.0, 1.0], row])
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match=re.escape("expected shape (batch, 3), got (4,)")):

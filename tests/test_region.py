@@ -294,6 +294,41 @@ class TestRewriteInPlace:
         assert len(data) < len(want) and want.startswith(data)
 
 
+class TestHeldOutputs:
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_render_opens_each_path_once(self, tmp_path, monkeypatch, existing):
+        # the outputs were opened twice each: once held for the refusal and
+        # once more by the writer
+        csv, svg = tmp_path / "g.csv", tmp_path / "g.svg"
+        if existing:
+            render_pair(tmp_path, "g", 10)
+        opened, os_open = [], os.open
+
+        def counting_open(path, *args, **kwargs):
+            fd = os_open(path, *args, **kwargs)
+            opened.append(path)
+            return fd
+
+        monkeypatch.setattr(region.os, "open", counting_open)
+        render_region(24, csv_path=str(csv), svg_path=str(svg))
+        monkeypatch.undo()
+        assert opened == [str(csv), str(svg)]
+        assert (sha256(csv), sha256(svg)) == GOLDEN[(24, 1.0)]
+
+    @pytest.mark.parametrize("writer, digest", [(write_csv, 0), (write_svg, 1)], ids=["csv", "svg"])
+    def test_writer_takes_a_held_descriptor(self, tmp_path, writer, digest):
+        path = tmp_path / "g"
+        path.write_bytes(b"x" * 10**6)
+        fd = os.open(path, os.O_WRONLY)
+        try:
+            writer(evaluate_grid(24), fd)
+            size = os.fstat(fd).st_size  # the writer left the descriptor open
+        finally:
+            os.close(fd)
+        assert sha256(path) == GOLDEN[(24, 1.0)][digest]
+        assert size == path.stat().st_size < 10**6
+
+
 class TestGoldenBytes:
     @pytest.mark.parametrize("res,norm", sorted(GOLDEN))
     def test_csv_and_svg_digests(self, tmp_path, res, norm):

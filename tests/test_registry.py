@@ -2,8 +2,9 @@
 
 Every per-kind table follows the registry's order, and the public
 ``check_*`` and ``invert_*`` names are the functions those tables hold.
-Two rules have one home module each, as the source's syntax trees show:
-the scale rule's ``frexp`` lives in ``graphs.py``, ``ZERO_CLAMP`` in ``cubic.py``.
+Three rules have one home each, as the source's syntax trees show: the
+scale rule's ``frexp`` lives in ``graphs.py``, ``ZERO_CLAMP`` in ``cubic.py``,
+and only ``region._outputs`` calls ``os.open`` or ``ftruncate``.
 """
 
 import ast
@@ -52,19 +53,36 @@ def _spelled(node):
     return None
 
 
+def _nodes(tree, scope="<module>"):
+    """Every node under ``tree`` with the name of the innermost function that holds it."""
+    for child in ast.iter_child_nodes(tree):
+        yield scope, child
+        yield from _nodes(child, child.name if isinstance(child, ast.FunctionDef) else scope)
+
+
 def _rule_homes():
-    """The modules of ``lapreal`` that call a ``frexp``, and those that name ``ZERO_CLAMP``."""
-    frexp, clamp = set(), set()
+    """Where three rules live in ``lapreal``.
+
+    The modules that call a ``frexp``, the modules that name ``ZERO_CLAMP``,
+    and the ``module.function`` names that call ``os.open`` or an ``ftruncate``.
+    """
+    frexp, clamp, opener = set(), set(), set()
     for path in sorted(pathlib.Path(lapreal.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for scope, node in _nodes(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and _spelled(node.func) == "frexp":
                 frexp.add(path.name)
             if _spelled(node) == "ZERO_CLAMP":
                 clamp.add(path.name)
-    return frexp, clamp
+            if isinstance(node, ast.Call) and (
+                _spelled(node.func) == "ftruncate"
+                or _spelled(node.func) == "open" and _spelled(getattr(node.func, "value", None)) == "os"
+            ):
+                opener.add(f"{path.stem}.{scope}")
+    return frexp, clamp, opener
 
 
 def test_each_scale_and_clamp_rule_has_one_home():
-    # the scale rule's exponent lives in graphs (unit_scaled, unit_exponents)
-    # and the zero clamp in cubic (laplacian_cubic_roots and its batch form)
-    assert _rule_homes() == ({"graphs.py"}, {"cubic.py"})
+    # the scale rule's exponent lives in graphs (unit_scaled, unit_exponents),
+    # the zero clamp in cubic (laplacian_cubic_roots and its batch form), and
+    # region._outputs alone opens the output files and cuts them to length
+    assert _rule_homes() == ({"graphs.py"}, {"cubic.py"}, {"region._outputs"})
